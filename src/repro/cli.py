@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep (default: 1h)",
     )
     cache_commands.add_parser(
-        "clear", help="delete every cache entry (all five levels)"
+        "clear", help="delete every cache entry (all four levels)"
     )
 
     phases_parser = commands.add_parser(

@@ -103,9 +103,9 @@ class ReproConfig:
         """Stable hex digest of the fields that shape a MICA vector.
 
         Two configs with the same fingerprint produce identical
-        47-dimensional vectors for the same trace, so the digest (plus a
-        trace content hash) keys the on-disk characterization cache in
-        :mod:`repro.perf`.  Fields that only affect trace *generation*
+        47-dimensional vectors for the same trace, so the digest (plus
+        the trace's generation recipe) keys the on-disk characterization
+        cache in :mod:`repro.perf`.  Fields that only affect trace *generation*
         or downstream analyses (trace length, seeds, GA knobs) are
         deliberately excluded.
         """

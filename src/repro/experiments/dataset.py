@@ -191,22 +191,24 @@ def _characterize_one(
 
     Runs in a separate process, so it re-resolves the benchmark from
     the registry by name (profiles are deterministic).  When a cache
-    directory is given, the trace comes from the profile+seed-keyed
-    :mod:`repro.perf` trace cache (warm runs never invoke the
-    generator), the 47-dimensional vector goes through the
-    content-keyed characterization cache above it, and the 7-metric
-    vector through the content+machine-keyed HPC cache beside it (warm
-    runs never run a pipeline model) — all shared across workers and
-    runs.  When ``shards`` is given, a characterization miss computes
-    through the shard-mergeable engine (bit-for-bit identical), so the
-    per-shard cache level fills alongside the per-trace one.
+    directory is given, the 47-dimensional vector goes through the
+    recipe-keyed characterization cache and the 7-metric vector through
+    the recipe+machine-keyed HPC cache beside it — shared across
+    workers and runs.  Both key on the trace's generation recipe, so a
+    warm benchmark never generates its trace, and a cold one generates
+    it once for both levels.  When ``shards`` is given, a
+    characterization miss computes through the shard-mergeable engine
+    (bit-for-bit identical), so the per-shard cache level fills
+    alongside the per-trace one.
     """
     name, trace_length, seed, config_kwargs, cache_dir, shards = args
     # Local imports keep worker startup lean.
     from ..perf import (
+        CharacterizationCache,
+        HpcCache,
+        TraceRecipe,
         cached_characterize,
         cached_collect_hpc,
-        cached_generate_trace,
         faults,
     )
     from ..workloads import get_benchmark
@@ -214,39 +216,20 @@ def _characterize_one(
     faults.maybe_fail_worker(name)
     integrity.drain_quarantine_log()  # discard events of earlier jobs
     config = ReproConfig(**config_kwargs)
-    benchmark = get_benchmark(name)
-    trace = cached_generate_trace(
-        benchmark.profile, trace_length, seed=seed, cache_dir=cache_dir
-    )
+    recipe = TraceRecipe(get_benchmark(name).profile, trace_length, seed)
     mica_vector = cached_characterize(
-        trace, config, cache_dir, shards=shards
+        recipe, config, cache_dir, shards=shards
     ).values
-    hpc_vector = cached_collect_hpc(trace, cache_dir=cache_dir).values
+    hpc_vector = cached_collect_hpc(recipe, cache_dir=cache_dir).values
     entries: Dict[str, str] = {}
     if cache_dir is not None:
-        # Name the cache entries this benchmark now rests on (the
-        # char/hpc keys need the trace's content hash, known only
-        # here), so a journaled build can re-verify them on resume.
-        from ..perf.cache import (
-            CharacterizationCache,
-            HpcCache,
-            TraceCache,
-            _entry_key,
-            _hpc_key,
-            _trace_key,
-        )
-        from ..uarch import EV56_CONFIG, EV67_CONFIG
-
+        # Name the cache entries this benchmark now rests on, so a
+        # journaled build can re-verify them on resume.
         entries = {
-            "trace": str(TraceCache(cache_dir)._path(
-                _trace_key(benchmark.profile, trace_length, seed)
-            )),
-            "char": str(CharacterizationCache(cache_dir)._path(
-                _entry_key(trace, config)
-            )),
-            "hpc": str(HpcCache(cache_dir)._path(
-                _hpc_key(trace, EV56_CONFIG, EV67_CONFIG)
-            )),
+            "char": str(
+                CharacterizationCache(cache_dir).entry_path(recipe, config)
+            ),
+            "hpc": str(HpcCache(cache_dir).entry_path(recipe)),
         }
     return (name, mica_vector, hpc_vector,
             integrity.drain_quarantine_log(), entries)
@@ -288,38 +271,42 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".mica_cache"
 
 
-def clear_dataset_cache(cache_dir: "Path | None" = None) -> int:
+def _cache_root(cache_dir: "Path | str | None") -> Path:
+    """``cache_dir`` as a :class:`Path` (the default when ``None``)."""
+    return default_cache_dir() if cache_dir is None else Path(cache_dir)
+
+
+def clear_dataset_cache(cache_dir: "Path | str | None" = None) -> int:
     """Delete cached datasets (in-memory and on disk).
 
-    Clears all five cache levels: the dataset-level matrices, the
-    per-trace characterization entries, the per-trace HPC vectors, the
-    generated-trace entries and the per-shard state entries.
+    Clears all four cache levels: the dataset-level matrices, the
+    per-trace characterization entries, the per-trace HPC vectors and
+    the per-shard state entries.  Also removes the ``trace-*.npz``
+    generated-trace entries that older versions cached.
 
     Returns:
         Number of disk cache files removed.
     """
-    from ..perf import (
-        CharacterizationCache, HpcCache, ShardCache, TraceCache,
-    )
+    from ..perf import CharacterizationCache, HpcCache, ShardCache
     from ..perf.cache import _unlink_quietly
 
     _MEMORY_CACHE.clear()
-    directory = cache_dir or default_cache_dir()
+    directory = _cache_root(cache_dir)
     removed = 0
     if directory.is_dir():
         # Tolerate concurrent workers clearing the same entries, and
-        # sweep dataset-level quarantine + stale writer temp files too
-        # (the per-trace levels sweep their own in clear()).
-        for pattern in (
-            "dataset-*.npz",
-            f"dataset-*.npz{integrity.QUARANTINE_SUFFIX}",
-            "tmp-dataset-*.npz",
-        ):
-            for path in directory.glob(pattern):
-                removed += _unlink_quietly(path)
+        # sweep quarantine + stale writer temp files too (the per-trace
+        # levels sweep their own in clear()).
+        for prefix in ("dataset", "trace"):
+            for pattern in (
+                f"{prefix}-*.npz",
+                f"{prefix}-*.npz{integrity.QUARANTINE_SUFFIX}",
+                f"tmp-{prefix}-*.npz",
+            ):
+                for path in directory.glob(pattern):
+                    removed += _unlink_quietly(path)
         removed += CharacterizationCache(directory).clear()
         removed += HpcCache(directory).clear()
-        removed += TraceCache(directory).clear()
         removed += ShardCache(directory).clear()
     return removed
 
@@ -625,7 +612,7 @@ def load_cached_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
     benchmark_names: "Optional[Sequence[str]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
 ) -> "Optional[WorkloadDataset]":
     """Warm-probe the dataset-level cache without ever building.
 
@@ -656,7 +643,7 @@ def load_cached_dataset(
     key = _cache_key(config, names)
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
-    directory = cache_dir or default_cache_dir()
+    directory = _cache_root(cache_dir)
     arrays = integrity.load_entry(
         directory / f"dataset-{key}.npz",
         level="dataset",
@@ -682,7 +669,7 @@ def load_cached_dataset(
 def dataset_journal_path(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
 ) -> Path:
     """The default build-journal file for this config + population.
 
@@ -695,20 +682,16 @@ def dataset_journal_path(
         benchmarks if benchmarks is not None else all_benchmarks()
     )
     names = tuple(benchmark.full_name for benchmark in population)
-    directory = cache_dir or default_cache_dir()
-    return Path(directory) / (
+    return _cache_root(cache_dir) / (
         f"journal-dataset-{_cache_key(config, names)}.jsonl"
     )
 
 
 def _verify_recorded_entry(level: str, path: str) -> bool:
     """Re-verify one journaled cache entry; quarantines on failure."""
-    from ..perf.cache import CharacterizationCache, HpcCache, TraceCache
+    from ..perf.cache import CharacterizationCache, HpcCache
 
-    classes = {
-        "trace": TraceCache, "char": CharacterizationCache,
-        "hpc": HpcCache,
-    }
+    classes = {"char": CharacterizationCache, "hpc": HpcCache}
     cache_class = classes.get(level)
     if cache_class is None:
         return False
@@ -790,7 +773,7 @@ def _replay_build_journal(
 def build_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
     workers: "int | None" = None,
@@ -808,10 +791,11 @@ def build_dataset(
     Args:
         config: trace length, seeds and characterization parameters.
         benchmarks: population to characterize (default: all 122).
-        cache_dir: disk cache location (default: repo-local
-            ``.mica_cache``; override with ``REPRO_CACHE_DIR``).  Holds
-            both the dataset-level matrices and the per-trace
-            :mod:`repro.perf` characterization entries.
+        cache_dir: disk cache location, a path or string (default:
+            repo-local ``.mica_cache``; override with
+            ``REPRO_CACHE_DIR``).  Holds both the dataset-level matrices
+            and the per-trace :mod:`repro.perf` characterization and
+            HPC entries.
         use_cache: consult/populate the caches.
         jobs: worker-process count (default: ``os.cpu_count()``, capped
             at the benchmark count; 1 runs serially in-process).
@@ -880,7 +864,7 @@ def build_dataset(
 def resume_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
     workers: "int | None" = None,
@@ -929,7 +913,7 @@ def resume_dataset(
 def _build_or_resume(
     config: ReproConfig,
     benchmarks: "Optional[Sequence[Benchmark]]",
-    cache_dir: "Path | None",
+    cache_dir: "Path | str | None",
     use_cache: bool,
     jobs: "int | None",
     workers: "int | None",
@@ -951,7 +935,7 @@ def _build_or_resume(
     if use_cache and key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
 
-    directory = cache_dir or default_cache_dir()
+    directory = _cache_root(cache_dir)
     cache_path = directory / f"dataset-{key}.npz"
     dataset_quarantines: Tuple[QuarantineEvent, ...] = ()
     if use_cache:
@@ -981,10 +965,10 @@ def _build_or_resume(
             _MEMORY_CACHE[key] = dataset
             return dataset
 
-    trace_cache_dir = str(directory) if use_cache else None
+    entry_cache_dir = str(directory) if use_cache else None
     jobs_by_name = {
         name: (name, config.trace_length, 0, _config_kwargs(config),
-               trace_cache_dir, shards)
+               entry_cache_dir, shards)
         for name in names
     }
     if jobs is None:

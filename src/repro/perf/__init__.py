@@ -5,15 +5,14 @@ package holds the two pieces that are about *speed* rather than paper
 semantics:
 
 * :mod:`repro.perf.cache` — the on-disk cache hierarchy: a
-  characterization cache keyed by trace **content** hash plus the
-  configuration fingerprint (a benchmark whose trace has not changed is
-  never re-analyzed), an HPC cache keyed by the same content hash plus
-  the **machine fingerprints + HPC_SIM_VERSION** (a benchmark whose
-  trace has not changed is never re-simulated), and below them a trace
-  cache keyed by **profile fingerprint + length + seed +
-  TRACE_GEN_VERSION** (a benchmark whose profile has not changed is
-  never re-generated — the gap a content-addressed cache cannot close,
-  since hashing content requires the bytes).
+  characterization cache and an HPC cache keyed by each trace's
+  **generation recipe** (:class:`TraceRecipe`: profile fingerprint +
+  length + seed + TRACE_GEN_VERSION) plus the configuration fingerprint
+  or the **machine fingerprints + HPC_SIM_VERSION** (a benchmark whose
+  recipe has not changed is never re-generated, re-analyzed or
+  re-simulated, and a hit never touches the trace bytes), and below
+  them a shard cache keyed by shard **content** hash for the
+  shard-mergeable engine.
 * :mod:`repro.perf.integrity` — the trust layer under every cache
   level: checksum + schema metadata embedded in each ``.npz``, verified
   loads that quarantine (never re-serve) corrupt entries, and atomic
@@ -51,10 +50,9 @@ from .cache import (
     HpcCache,
     SHARD_CACHE_VERSION,
     ShardCache,
-    TraceCache,
+    TraceRecipe,
     cached_characterize,
     cached_collect_hpc,
-    cached_generate_trace,
     is_cache_degraded,
     reset_cache_degradation,
     shard_entry_key,
@@ -103,14 +101,13 @@ __all__ = [
     "QuarantineEvent",
     "SHARD_CACHE_VERSION",
     "ShardCache",
-    "TraceCache",
+    "TraceRecipe",
     "cached_characterize",
     "cold_state_call_count",
     "reset_cold_state_call_count",
     "shard_entry_key",
     "sharded_characterize",
     "cached_collect_hpc",
-    "cached_generate_trace",
     "faults",
     "history",
     "append_bench_history",

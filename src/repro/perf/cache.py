@@ -1,41 +1,36 @@
-"""On-disk caches: characterization results, HPC vectors, traces, shards.
+"""On-disk caches: characterization results, HPC vectors, shards.
 
-Four cache levels live here, forming a hierarchy under the
+Three cache levels live here, forming a hierarchy under the
 dataset-level matrix cache of :mod:`repro.experiments.dataset`:
 
-* **Characterization cache** (top).  Characterizing one trace is pure:
-  the 47-dimensional MICA vector depends only on the trace contents and
+* **Characterization cache** (top).  Characterizing one generated trace
+  is pure: the 47-dimensional MICA vector depends only on the trace's
+  generation recipe (a :class:`TraceRecipe`: profile, length, seed) and
   the characterization fields of :class:`~repro.config.ReproConfig`.
   Entries key by::
 
-      sha256(trace bytes) + config.characterization_fingerprint() + version
+      recipe.key() + config.characterization_fingerprint()
+          + CHAR_CACHE_VERSION
 
   and store one small ``.npz`` per trace.
 
 * **HPC cache** (beside it).  The seven-metric
   hardware-performance-counter vector is equally pure — a function of
-  the trace contents and the two simulated machines — so entries key
-  by::
+  the recipe and the two simulated machines — so entries key by::
 
-      sha256(trace bytes) + inorder.fingerprint() + ooo.fingerprint()
+      recipe.key() + inorder.fingerprint() + ooo.fingerprint()
           + HPC_SIM_VERSION
 
   and a warm :func:`cached_collect_hpc` performs zero pipeline-model
   runs (asserted via :func:`repro.uarch.hpc_call_count`).
 
-* **Trace cache** (bottom).  Generating a trace is also pure — a
-  function of the profile knobs, the length and the per-trace seed —
-  but the content-keyed caches cannot skip *generation* (hashing the
-  content requires the bytes).  The trace cache closes that gap: it
-  keys by::
-
-      profile.fingerprint() + length + seed + TRACE_GEN_VERSION
-
-  (no content hash needed) and stores the full instruction array, so a
-  warm :func:`cached_generate_trace` never runs the generator at all.
-  :data:`~repro.synth.TRACE_GEN_VERSION` is part of the key because the
-  bytes a (profile, length, seed) triple produces may legitimately
-  change when the generation engine's draw protocol changes.
+  ``recipe.key()`` hashes ``TRACE_GEN_VERSION`` + the profile
+  fingerprint + length + seed, so neither level needs the trace bytes
+  to find an entry: a hit never generates, loads or hashes a trace,
+  and a miss generates it once (:attr:`TraceRecipe.trace`) for both
+  levels.  :data:`~repro.synth.TRACE_GEN_VERSION` is part of the key
+  because the bytes a recipe produces may legitimately change when the
+  generation engine's draw protocol changes.
 
 * **Shard cache** (finest grain).  The shard-mergeable engine
   (:mod:`repro.mica.shard`) characterizes contiguous chunks into cold
@@ -46,7 +41,9 @@ dataset-level matrix cache of :mod:`repro.experiments.dataset`:
           + sections mask + SHARD_CACHE_VERSION
 
   and re-characterizing an extended or overlapping trace reuses every
-  warm shard whose byte range lines up.
+  warm shard whose byte range lines up.  Shards of external traces
+  have no recipe, so this level keeps content keys
+  (:func:`trace_fingerprint`).
 
 Entries survive process restarts, are shared by parallel dataset
 workers, and stay valid under population changes (unlike the
@@ -70,6 +67,7 @@ import hashlib
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -80,7 +78,6 @@ from . import journal as journal_module
 from .integrity import QuarantineEvent
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CacheDegradedWarning, CacheIntegrityError
-from ..isa import TRACE_DTYPE
 from ..mica import NUM_CHARACTERISTICS, CharacteristicVector, characterize
 from ..synth import TRACE_GEN_VERSION, WorkloadProfile, generate_trace
 from ..trace import Trace
@@ -144,7 +141,7 @@ def trace_fingerprint(trace: Trace) -> str:
     """Content hash of a trace (independent of its name).
 
     Two traces with identical instruction streams hash identically, so
-    renamed or regenerated-but-equal traces share cache entries.
+    renamed or regenerated-but-equal shards share shard cache entries.
     """
     digest = hashlib.sha256()
     digest.update(str(trace.data.dtype).encode())
@@ -152,11 +149,45 @@ def trace_fingerprint(trace: Trace) -> str:
     return digest.hexdigest()[:32]
 
 
-def _entry_key(trace: Trace, config: ReproConfig) -> str:
-    payload = (
-        f"{CHAR_CACHE_VERSION}:{trace_fingerprint(trace)}:"
-        f"{config.characterization_fingerprint()}"
-    )
+@dataclass(frozen=True)
+class TraceRecipe:
+    """How to generate one trace: the identity of its per-trace entries.
+
+    Generation is a pure function of (profile, length, seed), so the
+    recipe names a trace without its bytes.  The trace itself is
+    generated lazily, at most once per recipe object, and only when a
+    cache level misses.
+
+    Attributes:
+        profile: the workload profile to generate from.
+        length: instructions to generate.
+        seed: the per-trace generation seed.
+    """
+
+    profile: WorkloadProfile
+    length: int
+    seed: int = 0
+
+    @property
+    def name(self) -> str:
+        return self.profile.name
+
+    def key(self) -> str:
+        """Content-free hash of the recipe and the generation protocol."""
+        payload = (
+            f"{TRACE_GEN_VERSION}:{self.profile.fingerprint()}:"
+            f"{self.length}:{self.seed}"
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:32]
+
+    @cached_property
+    def trace(self) -> Trace:
+        """The generated trace (generated on first access)."""
+        return generate_trace(self.profile, self.length, seed=self.seed)
+
+
+def _recipe_entry_key(recipe: TraceRecipe, *parts: object) -> str:
+    payload = ":".join(str(part) for part in (recipe.key(), *parts))
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
@@ -203,28 +234,25 @@ class _NpzCacheDirectory:
 
     def _load_entry(
         self,
-        key: str,
+        path: Path,
         field: str,
         expected_shape: "tuple | None" = None,
         expected_dtype: "object | None" = None,
     ) -> "Optional[np.ndarray]":
         arrays = integrity.load_entry(
-            self._path(key),
+            path,
             level=self._prefix,
             version=self._schema_version(),
             expected={field: (expected_shape, expected_dtype)},
         )
         return None if arrays is None else arrays.get(field)
 
-    def _store_entry(
-        self, key: str, compress: bool = False, **fields: np.ndarray
-    ) -> Path:
+    def _store_entry(self, path: Path, **fields: np.ndarray) -> Path:
         return integrity.write_entry(
-            self._path(key),
+            path,
             level=self._prefix,
             version=self._schema_version(),
             fields=fields,
-            compress=compress,
         )
 
     def verify(self) -> "List[QuarantineEvent]":
@@ -298,8 +326,17 @@ class CharacterizationCache(_NpzCacheDirectory):
     def _schema_version(self) -> object:
         return CHAR_CACHE_VERSION
 
+    def entry_path(
+        self, recipe: TraceRecipe, config: ReproConfig = DEFAULT_CONFIG
+    ) -> Path:
+        """Where the recipe's vector under ``config`` is stored."""
+        return self._path(_recipe_entry_key(
+            recipe, config.characterization_fingerprint(),
+            CHAR_CACHE_VERSION,
+        ))
+
     def load(
-        self, trace: Trace, config: ReproConfig = DEFAULT_CONFIG
+        self, recipe: TraceRecipe, config: ReproConfig = DEFAULT_CONFIG
     ) -> "Optional[np.ndarray]":
         """The cached 47-dimensional vector, or None on a miss.
 
@@ -307,81 +344,74 @@ class CharacterizationCache(_NpzCacheDirectory):
         are quarantined and never flow into ``np.vstack``.
         """
         return self._load_entry(
-            _entry_key(trace, config), "values",
+            self.entry_path(recipe, config), "values",
             expected_shape=(NUM_CHARACTERISTICS,),
             expected_dtype=np.float64,
         )
 
     def store(
         self,
-        trace: Trace,
+        recipe: TraceRecipe,
         config: ReproConfig,
         values: np.ndarray,
     ) -> Path:
         """Persist one characterization result; returns the entry path."""
-        return self._store_entry(_entry_key(trace, config), values=values)
+        return self._store_entry(
+            self.entry_path(recipe, config), values=values
+        )
 
 
 def cached_characterize(
-    trace: Trace,
+    recipe: TraceRecipe,
     config: ReproConfig = DEFAULT_CONFIG,
     cache_dir: "Path | str | None" = None,
     shards: "int | None" = None,
     shard_size: "int | None" = None,
     jobs: "int | None" = None,
 ) -> CharacteristicVector:
-    """:func:`repro.mica.characterize` behind the on-disk cache.
+    """:func:`repro.mica.characterize` of a recipe's trace, cached.
 
-    With ``cache_dir=None`` this is exactly ``characterize``; otherwise
-    hits skip every analyzer and misses populate the cache.  When a
-    shard geometry is given, misses compute through the shard-mergeable
+    With ``cache_dir=None`` this is exactly ``characterize`` of
+    ``recipe.trace``; otherwise hits skip generation and every analyzer,
+    and misses generate the trace and populate the cache.  When a shard
+    geometry is given, misses compute through the shard-mergeable
     engine (bit-for-bit identical, so the final-vector cache entry is
     the same either way) and each shard's cold state additionally goes
     through the per-shard :class:`ShardCache` level.
 
     Returns:
-        The trace's :class:`~repro.mica.CharacteristicVector` (cached
-        values are re-wrapped with the trace's current name).
+        The trace's :class:`~repro.mica.CharacteristicVector`, named
+        after the recipe's profile.
     """
     sharded = shards is not None or shard_size is not None
     if cache_dir is None:
         if sharded:
             return characterize(
-                trace, config, shards=shards, shard_size=shard_size,
+                recipe.trace, config, shards=shards, shard_size=shard_size,
                 jobs=jobs,
             )
-        return characterize(trace, config)
+        return characterize(recipe.trace, config)
     cache = CharacterizationCache(cache_dir)
-    values = cache.load(trace, config)
+    values = cache.load(recipe, config)
     if values is None:
         if sharded:
             vector = characterize(
-                trace, config, shards=shards, shard_size=shard_size,
+                recipe.trace, config, shards=shards, shard_size=shard_size,
                 jobs=jobs, cache_dir=cache_dir,
             )
         else:
-            vector = characterize(trace, config)
+            vector = characterize(recipe.trace, config)
         try:
-            cache.store(trace, config, vector.values)
+            cache.store(recipe, config, vector.values)
         except OSError as error:
             _degrade(cache.directory, error)
         return vector
-    return CharacteristicVector(name=trace.name, values=values)
+    return CharacteristicVector(name=recipe.name, values=values)
 
 
 # ---------------------------------------------------------------------------
 # HPC cache (beside the characterization cache)
 # ---------------------------------------------------------------------------
-
-
-def _hpc_key(
-    trace: Trace, inorder: MachineConfig, ooo: MachineConfig
-) -> str:
-    payload = (
-        f"{HPC_SIM_VERSION}:{trace_fingerprint(trace)}:"
-        f"{inorder.fingerprint()}:{ooo.fingerprint()}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 class HpcCache(_NpzCacheDirectory):
@@ -392,7 +422,7 @@ class HpcCache(_NpzCacheDirectory):
             directory with the other cache levels (distinct ``hpc-``
             file prefix).
 
-    One small ``.npz`` per (trace content, machine pair,
+    One small ``.npz`` per (recipe, machine pair,
     :data:`~repro.uarch.HPC_SIM_VERSION`) holds the seven-metric
     vector.
     """
@@ -403,9 +433,21 @@ class HpcCache(_NpzCacheDirectory):
     def _schema_version(self) -> object:
         return HPC_SIM_VERSION
 
+    def entry_path(
+        self,
+        recipe: TraceRecipe,
+        inorder: MachineConfig = EV56_CONFIG,
+        ooo: MachineConfig = EV67_CONFIG,
+    ) -> Path:
+        """Where the recipe's vector on this machine pair is stored."""
+        return self._path(_recipe_entry_key(
+            recipe, inorder.fingerprint(), ooo.fingerprint(),
+            HPC_SIM_VERSION,
+        ))
+
     def load(
         self,
-        trace: Trace,
+        recipe: TraceRecipe,
         inorder: MachineConfig = EV56_CONFIG,
         ooo: MachineConfig = EV67_CONFIG,
     ) -> "Optional[np.ndarray]":
@@ -415,134 +457,53 @@ class HpcCache(_NpzCacheDirectory):
         are quarantined and never flow into ``np.vstack``.
         """
         return self._load_entry(
-            _hpc_key(trace, inorder, ooo), "values",
+            self.entry_path(recipe, inorder, ooo), "values",
             expected_shape=(len(HPC_METRIC_NAMES),),
             expected_dtype=np.float64,
         )
 
     def store(
         self,
-        trace: Trace,
+        recipe: TraceRecipe,
         inorder: MachineConfig,
         ooo: MachineConfig,
         values: np.ndarray,
     ) -> Path:
         """Persist one HPC vector; returns the entry path."""
         return self._store_entry(
-            _hpc_key(trace, inorder, ooo), values=values
+            self.entry_path(recipe, inorder, ooo), values=values
         )
 
 
 def cached_collect_hpc(
-    trace: Trace,
+    recipe: TraceRecipe,
     inorder: MachineConfig = EV56_CONFIG,
     ooo: MachineConfig = EV67_CONFIG,
     cache_dir: "Path | str | None" = None,
 ) -> HpcVector:
-    """:func:`repro.uarch.collect_hpc` behind the on-disk cache.
+    """:func:`repro.uarch.collect_hpc` of a recipe's trace, cached.
 
-    With ``cache_dir=None`` this is exactly ``collect_hpc``; otherwise
-    hits skip both pipeline models (and the whole event simulation) and
-    misses populate the cache.
+    With ``cache_dir=None`` this is exactly ``collect_hpc`` of
+    ``recipe.trace``; otherwise hits skip generation, both pipeline
+    models and the whole event simulation, and misses generate the
+    trace and populate the cache.
 
     Returns:
-        The trace's :class:`~repro.uarch.HpcVector` (cached values are
-        re-wrapped with the trace's current name).
+        The trace's :class:`~repro.uarch.HpcVector`, named after the
+        recipe's profile.
     """
     if cache_dir is None:
-        return collect_hpc(trace, inorder, ooo)
+        return collect_hpc(recipe.trace, inorder, ooo)
     cache = HpcCache(cache_dir)
-    values = cache.load(trace, inorder, ooo)
+    values = cache.load(recipe, inorder, ooo)
     if values is None:
-        vector = collect_hpc(trace, inorder, ooo)
+        vector = collect_hpc(recipe.trace, inorder, ooo)
         try:
-            cache.store(trace, inorder, ooo, vector.values)
+            cache.store(recipe, inorder, ooo, vector.values)
         except OSError as error:
             _degrade(cache.directory, error)
         return vector
-    return HpcVector(name=trace.name, values=values)
-
-
-# ---------------------------------------------------------------------------
-# Trace cache (below the characterization cache)
-# ---------------------------------------------------------------------------
-
-
-def _trace_key(profile: WorkloadProfile, length: int, seed: int) -> str:
-    payload = (
-        f"{TRACE_GEN_VERSION}:{profile.fingerprint()}:{length}:{seed}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
-
-
-class TraceCache(_NpzCacheDirectory):
-    """Directory of generated traces, keyed by (profile, length, seed).
-
-    Args:
-        directory: cache root; created lazily on first store.  Shares a
-            directory with the other cache levels (distinct ``trace-``
-            file prefix).
-    """
-
-    _prefix = "trace"
-    _static_expected = {"data": (None, TRACE_DTYPE)}
-
-    def _schema_version(self) -> object:
-        return TRACE_GEN_VERSION
-
-    def load(
-        self, profile: WorkloadProfile, length: int, seed: int = 0
-    ) -> "Optional[Trace]":
-        """The cached trace (renamed after the profile), or None.
-
-        Wrong-dtype or wrong-length entries are verified misses (the
-        file is quarantined, not re-served).
-        """
-        data = self._load_entry(
-            _trace_key(profile, length, seed), "data",
-            expected_shape=(length,), expected_dtype=TRACE_DTYPE,
-        )
-        if data is None:
-            return None
-        return Trace(data, name=profile.name)
-
-    def store(
-        self,
-        profile: WorkloadProfile,
-        length: int,
-        seed: int,
-        trace: Trace,
-    ) -> Path:
-        """Persist one generated trace; returns the entry path."""
-        return self._store_entry(
-            _trace_key(profile, length, seed), compress=True,
-            data=trace.data,
-        )
-
-
-def cached_generate_trace(
-    profile: WorkloadProfile,
-    length: int,
-    seed: int = 0,
-    cache_dir: "Path | str | None" = None,
-) -> Trace:
-    """:func:`repro.synth.generate_trace` behind the on-disk cache.
-
-    With ``cache_dir=None`` this is exactly ``generate_trace``;
-    otherwise hits skip the generator entirely (bit-identical bytes are
-    returned from disk) and misses populate the cache.
-    """
-    if cache_dir is None:
-        return generate_trace(profile, length, seed=seed)
-    cache = TraceCache(cache_dir)
-    trace = cache.load(profile, length, seed)
-    if trace is None:
-        trace = generate_trace(profile, length, seed=seed)
-        try:
-            cache.store(profile, length, seed, trace)
-        except OSError as error:
-            _degrade(cache.directory, error)
-    return trace
+    return HpcVector(name=recipe.name, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +566,7 @@ class ShardCache(_NpzCacheDirectory):
 
     def store(self, key: str, arrays: "Dict[str, np.ndarray]") -> Path:
         """Persist one serialized shard state; returns the entry path."""
-        return self._store_entry(key, **arrays)
+        return self._store_entry(self._path(key), **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +665,9 @@ def verify_cache(
     directory: "Path | str",
     sweep_older_than: float = 3600.0,
 ) -> CacheVerifyReport:
-    """Scan all five cache levels; quarantine entries that fail.
+    """Scan all four cache levels; quarantine entries that fail.
 
-    Covers the per-trace levels (``char``/``hpc``/``trace``) and the
+    Covers the per-trace levels (``char``/``hpc``) and the
     per-shard ``shard`` level via each
     level's :meth:`~_NpzCacheDirectory.verify` and the dataset-level
     ``dataset-*.npz`` matrices, replays every ``journal-*.jsonl``
@@ -717,7 +678,7 @@ def verify_cache(
     root = Path(directory)
     scanned: "Dict[str, int]" = {}
     events: "List[QuarantineEvent]" = []
-    for level in (CharacterizationCache, HpcCache, TraceCache, ShardCache):
+    for level in (CharacterizationCache, HpcCache, ShardCache):
         cache = level(root)
         scanned[cache._prefix] = len(cache)
         events.extend(cache.verify())

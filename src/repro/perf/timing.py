@@ -7,7 +7,7 @@ time and the instructions-per-second throughput for each.
 :func:`run_generation_bench` does the same for the trace-generation
 engine (full ``generate_trace``, the batch interpreter and expansion
 against their scalar references, and a cold-vs-warm ``build_dataset``
-pass over the trace/characterization caches).  The combined result
+pass over the characterization/HPC caches).  The combined result
 serializes to the repo-level ``BENCH_mica.json`` so each PR can record
 its point on the performance trajectory.
 
@@ -30,8 +30,8 @@ How to read the output:
   default 100k-instruction trace (``interpret`` / ``expand`` report
   the per-phase ratios).
 * ``generation.dataset`` — wall time of a small ``build_dataset``
-  with cold caches vs warm (trace + characterization + HPC caches
-  populated, dataset-level matrices dropped).  ``warm_over_cold``
+  with cold caches vs warm (characterization + HPC caches populated,
+  dataset-level matrices dropped).  ``warm_over_cold``
   below one is the cache hierarchy working.
 * ``hpc.engines.<name>`` — HPC event-engine timings:
   ``events_ev56`` / ``events_ev67`` (one full
@@ -478,9 +478,9 @@ def run_generation_bench(
     reference implementations — every timing starts from freshly reset
     behavior/branch-model state, resets excluded from the timed region.
     Also builds a small dataset twice through a throwaway cache
-    directory: once cold, then again with the trace and
-    characterization caches warm (dataset-level matrices dropped in
-    between), the gap the trace cache exists to close.
+    directory: once cold, then again with the recipe-keyed
+    characterization and HPC caches warm (dataset-level matrices
+    dropped in between), so the warm build never generates a trace.
 
     Args:
         config: supplies the default trace length.
@@ -566,8 +566,8 @@ def run_generation_bench(
         )
         cold_seconds = time.perf_counter() - start
         # Drop the dataset-level matrices but keep the per-trace caches,
-        # so the warm build exercises the trace + characterization
-        # cache hierarchy rather than the top-level shortcut.
+        # so the warm build exercises the recipe-keyed char + HPC
+        # levels rather than the top-level shortcut.
         for path in cache_dir.glob("dataset-*.npz"):
             path.unlink()
         _MEMORY_CACHE.clear()
@@ -635,7 +635,6 @@ def run_hpc_bench(
     import numpy as np
 
     from ..mica.ilp import producer_indices_reference
-    from ..synth import generate_trace
     from ..uarch import (
         EV56_CONFIG,
         EV67_CONFIG,
@@ -650,9 +649,14 @@ def run_hpc_bench(
     from ..uarch.events import simulate_events
     from ..workloads import get_benchmark
 
+    from .cache import TraceRecipe, cached_collect_hpc
+
     length = trace_length or config.trace_length
     benchmark = get_benchmark(profile_name)
-    trace = generate_trace(benchmark.profile, length)
+    # Generated here, outside every timed region: the cold cached run
+    # below reuses it, so it times simulation, not generation.
+    recipe = TraceRecipe(benchmark.profile, length)
+    trace = recipe.trace
     data_addresses = trace.mem_addr[np.flatnonzero(trace.memory_mask)]
     branch_positions = np.flatnonzero(trace.branch_mask)
     branch_pcs = trace.pc[branch_positions]
@@ -749,15 +753,13 @@ def run_hpc_bench(
             + seconds["pipeline_ev67_reference"]
         ) / (seconds["pipeline_ev56"] + seconds["pipeline_ev67"])
 
-    from .cache import cached_collect_hpc
-
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-bench-hpc-"))
     try:
         start = time.perf_counter()
-        cached_collect_hpc(trace, cache_dir=cache_dir)
+        cached_collect_hpc(recipe, cache_dir=cache_dir)
         cold_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        cached_collect_hpc(trace, cache_dir=cache_dir)
+        cached_collect_hpc(recipe, cache_dir=cache_dir)
         warm_seconds = time.perf_counter() - start
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

@@ -1,7 +1,7 @@
 """The characterization service: request handling and job execution.
 
 ``CharacterizationService`` is the transport-independent core — it
-validates requests, serves warm content-hash cache hits inline (200),
+validates requests, serves warm cache hits inline (200),
 admits cold work into the bounded queue (202 + job id), executes jobs
 on worker threads with retry/backoff/jitter, and enforces the fixed
 failure policies:
@@ -298,8 +298,8 @@ class CharacterizationService:
         URLs answer exactly as before the crash; admitted-but-unfinished
         jobs are re-admitted through the normal bounded queue under
         their original ids with a fresh default deadline — re-running
-        them is idempotent because all compute is keyed by content
-        hashes, so recovered work reuses every warm cache entry.  The
+        them is idempotent because all compute is keyed by generation
+        recipes, so recovered work reuses every warm cache entry.  The
         journal is then compacted (one atomic rotation) to just the
         surviving jobs.
         """
@@ -652,10 +652,11 @@ class CharacterizationService:
         return self.cache_dir
 
     def _try_warm(self, kind: str, params: dict) -> "Optional[dict]":
-        """Serve from the content-hash caches without queueing.
+        """Serve from the recipe-keyed caches without queueing.
 
-        Only complete hits count — a warm trace with a cold
-        characterization entry is still cold work.  Never computes.
+        A warm hit is one entry lookup: the key comes from the trace's
+        generation recipe, so no trace is generated, loaded or hashed.
+        Never computes.
         """
         directory = self._warm_cache_dir()
         if directory is None:
@@ -672,18 +673,12 @@ class CharacterizationService:
         if kind == "phases":
             return None  # no phase-level cache exists (yet)
 
-        from ..perf import CharacterizationCache, HpcCache, TraceCache
-        from ..workloads import get_benchmark
+        from ..perf import CharacterizationCache, HpcCache
 
-        benchmark = get_benchmark(params["benchmark"])
-        trace = TraceCache(directory).load(
-            benchmark.profile, params["trace_length"], params["seed"]
-        )
-        if trace is None:
-            return None
+        recipe = self._recipe(params)
         if kind == "characterize":
             values = CharacterizationCache(directory).load(
-                trace, self._config_for(params)
+                recipe, self._config_for(params)
             )
             if values is None:
                 return None
@@ -691,12 +686,23 @@ class CharacterizationService:
                 params["benchmark"], params["trace_length"],
                 params["seed"], values,
             )
-        values = HpcCache(directory).load(trace)
+        values = HpcCache(directory).load(recipe)
         if values is None:
             return None
         return hpc_payload(
             params["benchmark"], params["trace_length"],
             params["seed"], values,
+        )
+
+    @staticmethod
+    def _recipe(params: dict):
+        from ..perf import TraceRecipe
+        from ..workloads import get_benchmark
+
+        return TraceRecipe(
+            get_benchmark(params["benchmark"]).profile,
+            params["trace_length"],
+            params["seed"],
         )
 
     def _config_for(self, params: dict) -> ReproConfig:
@@ -863,25 +869,11 @@ class CharacterizationService:
                 with self._stats_lock:
                     self._stats["quarantines"] += len(events)
 
-    def _job_trace(self, job: Job):
-        from ..perf import cached_generate_trace
-        from ..workloads import get_benchmark
-
-        benchmark = get_benchmark(job.params["benchmark"])
-        return cached_generate_trace(
-            benchmark.profile,
-            job.params["trace_length"],
-            seed=job.params["seed"],
-            cache_dir=self._compute_cache_dir(),
-        )
-
     def _compute_characterize(self, job: Job) -> dict:
         from ..perf import cached_characterize
 
-        trace = self._job_trace(job)
-        self._checkpoint(job)
         vector = cached_characterize(
-            trace, self._config_for(job.params),
+            self._recipe(job.params), self._config_for(job.params),
             self._compute_cache_dir(),
             shards=self.settings.shards,
         )
@@ -893,10 +885,8 @@ class CharacterizationService:
     def _compute_hpc(self, job: Job) -> dict:
         from ..perf import cached_collect_hpc
 
-        trace = self._job_trace(job)
-        self._checkpoint(job)
         vector = cached_collect_hpc(
-            trace, cache_dir=self._compute_cache_dir()
+            self._recipe(job.params), cache_dir=self._compute_cache_dir()
         )
         return hpc_payload(
             job.params["benchmark"], job.params["trace_length"],
@@ -906,7 +896,7 @@ class CharacterizationService:
     def _compute_phases(self, job: Job) -> dict:
         from ..phases import detect_phases, simulation_points
 
-        trace = self._job_trace(job)
+        trace = self._recipe(job.params).trace
         self._checkpoint(job)
         result = detect_phases(
             trace,

@@ -44,9 +44,9 @@ chunk of ``K`` episodes the draws are, in order:
    preceding diamond may have skipped it).
 
 :data:`TRACE_GEN_VERSION` names the generation semantics; it is folded
-into the :mod:`repro.perf` trace-cache key and must be bumped whenever
-the protocol (and hence the trace bytes of a given profile/length/seed)
-changes.
+into the :mod:`repro.perf` recipe key of every per-trace cache entry
+and must be bumped whenever the protocol (and hence the trace bytes of
+a given profile/length/seed) changes.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .rng import make_rng
 
 #: Generation-semantics version.  Bump whenever the draw protocol or the
 #: expansion rules change the bytes produced for the same
-#: (profile, length, seed); the perf trace cache keys on it.
+#: (profile, length, seed); the perf per-trace cache keys on it.
 TRACE_GEN_VERSION = 2
 
 #: Namespace of the dynamic-stream rng, derived from the protocol
@@ -98,8 +98,8 @@ _generation_calls = 0
 def generation_call_count() -> int:
     """Number of :func:`generate_trace` invocations in this process.
 
-    The perf trace cache sits *in front of* the generator; tests assert
-    warm dataset builds leave this counter untouched.
+    The recipe-keyed perf caches sit *in front of* the generator; tests
+    assert warm dataset builds leave this counter untouched.
     """
     return _generation_calls
 

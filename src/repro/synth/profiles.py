@@ -284,7 +284,8 @@ class WorkloadProfile:
         Two profiles with equal knobs fingerprint identically across
         processes and platforms (behavior-mix dictionaries are compared
         by content, not insertion order).  Keys the static-code memo
-        and the :mod:`repro.perf` trace cache.
+        and, through :class:`repro.perf.TraceRecipe`, the per-trace
+        cache entries.
         """
         payload = repr((_FINGERPRINT_SCHEMA, _canonical(asdict(self))))
         return hashlib.sha256(payload.encode()).hexdigest()[:32]

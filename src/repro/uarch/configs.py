@@ -57,8 +57,8 @@ class MachineConfig:
         """Stable hex digest of every field that shapes simulation.
 
         Two machines with equal fingerprints produce identical HPC
-        metrics for the same trace, so the digest (together with a
-        trace content hash and :data:`repro.uarch.HPC_SIM_VERSION`)
+        metrics for the same trace, so the digest (together with the
+        trace's generation recipe and :data:`repro.uarch.HPC_SIM_VERSION`)
         keys the on-disk HPC cache in :mod:`repro.perf`.  Nested
         dataclasses are frozen, so their ``repr`` is deterministic.
         """

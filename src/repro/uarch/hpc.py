@@ -45,8 +45,8 @@ def hpc_call_count() -> int:
 
     The perf HPC cache sits *in front of* the pipeline models; tests
     assert warm dataset builds leave this counter untouched (the
-    analogue of :func:`repro.synth.generation_call_count` for the
-    trace cache).
+    analogue of :func:`repro.synth.generation_call_count` for
+    generation).
     """
     return _hpc_calls
 

@@ -8,17 +8,18 @@ branch mispredictions and instruction-fetch misses insert front-end
 bubbles.  The model is cycle-approximate, not RTL-faithful — its purpose
 is producing realistic hardware-performance-counter IPC values.
 
-**Batch engine.**  :meth:`InOrderModel.run` drives
+**Batch engine.**  For issue widths 1 and 2 (every production machine)
+:meth:`InOrderModel.run` drives
 :func:`repro.uarch.pipeline_batch.inorder_walk`: every per-instruction
 stall term (fetch stalls, mispredict redirects, memory-port conflicts,
 result latencies) is folded into precomputed arrays by vectorized
 passes, and the remaining reduced recurrence is walked without any
-per-instruction opclass or register-validity branching.
-:meth:`InOrderModel.run_reference` retains the original scalar loop
-verbatim as the executable specification; the batch path (and the
-independent max-plus fixed-point engine in
-:mod:`~repro.uarch.pipeline_batch`) are pinned to it bit-for-bit on IPC
-by ``tests/test_uarch_pipeline_equivalence.py``.
+per-instruction opclass or register-validity branching.  Wider machines
+carry memory-port edges the fold cannot express and run the reference
+loop.  :meth:`InOrderModel.run_reference` retains the original scalar
+loop verbatim as the executable specification; the batch path is
+pinned to it bit-for-bit on IPC by
+``tests/test_uarch_pipeline_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class InOrderModel:
         Returns:
             ``(ipc, events)``; bit-identical to :meth:`run_reference`.
         """
+        if self.machine.issue_width > 2:
+            return self.run_reference(trace, events)
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         if events is None:

@@ -14,10 +14,8 @@ mispredict flags and register streams are precomputed as arrays by
 vectorized passes, and the remaining reduced recurrence is walked with
 no per-instruction opclass or register-validity branching.
 :meth:`OutOfOrderModel.run_reference` retains the original scalar loop
-verbatim as the executable specification; the batch path (and the
-independent max-plus fixed-point engine in
-:mod:`~repro.uarch.pipeline_batch`) are pinned to it bit-for-bit on IPC
-by ``tests/test_uarch_pipeline_equivalence.py``.
+verbatim as the executable specification; the batch path is pinned to
+it bit-for-bit on IPC by ``tests/test_uarch_pipeline_equivalence.py``.
 """
 
 from __future__ import annotations

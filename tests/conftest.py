@@ -47,6 +47,32 @@ TEST_CONFIG = ReproConfig(
 )
 
 
+@pytest.fixture()
+def count_perf_cache_calls(monkeypatch):
+    """Count calls through ``repro.perf.cache``'s module-level names.
+
+    ``count_perf_cache_calls(*names)`` wraps each name for the test's
+    duration and returns the live ``{name: calls}`` dictionary.
+    """
+    import repro.perf.cache as perf_cache
+
+    def counted(calls, name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def count(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(perf_cache, name, counted(
+                calls, name, getattr(perf_cache, name)
+            ))
+        return calls
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def test_config() -> ReproConfig:
     return TEST_CONFIG

@@ -17,37 +17,37 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.mica import NUM_CHARACTERISTICS, characterize
-from repro.perf import CharacterizationCache
-from repro.synth import WorkloadProfile, generate_trace
+from repro.perf import CharacterizationCache, TraceRecipe
+from repro.synth import WorkloadProfile
 
 SMALL_CONFIG = ReproConfig(trace_length=2_000)
 PROFILE = WorkloadProfile(name="concurrency/p/1")
 LENGTH = 2_000
 
 
-def _shared_trace():
-    # Deterministic: every worker regenerates the identical trace, so
-    # all processes address the same cache key.
-    return generate_trace(PROFILE, LENGTH)
+def _shared_recipe():
+    # Every worker builds the identical recipe, so all processes
+    # address the same cache key.
+    return TraceRecipe(PROFILE, LENGTH)
 
 
 def _writer_job(directory, worker_id, stores):
     """Repeatedly store a worker-identifiable vector under one key."""
-    trace = _shared_trace()
+    recipe = _shared_recipe()
     cache = CharacterizationCache(directory)
     values = np.full(NUM_CHARACTERISTICS, float(worker_id))
     for _ in range(stores):
-        cache.store(trace, SMALL_CONFIG, values)
+        cache.store(recipe, SMALL_CONFIG, values)
     return worker_id
 
 
 def _reader_job(directory, loads):
     """Load the racing key in a loop; report every observed vector."""
-    trace = _shared_trace()
+    recipe = _shared_recipe()
     cache = CharacterizationCache(directory)
     observed = []
     for _ in range(loads):
-        values = cache.load(trace, SMALL_CONFIG)
+        values = cache.load(recipe, SMALL_CONFIG)
         if values is not None:
             observed.append(values.copy())
     return observed
@@ -55,11 +55,11 @@ def _reader_job(directory, loads):
 
 def _real_writer_job(directory, stores):
     """Store the genuine characterization vector repeatedly."""
-    trace = _shared_trace()
-    values = characterize(trace, SMALL_CONFIG).values
+    recipe = _shared_recipe()
+    values = characterize(recipe.trace, SMALL_CONFIG).values
     cache = CharacterizationCache(directory)
     for _ in range(stores):
-        cache.store(trace, SMALL_CONFIG, values)
+        cache.store(recipe, SMALL_CONFIG, values)
     return values
 
 
@@ -91,7 +91,7 @@ class TestConcurrentSameKeyWriters:
 
         # Last writer wins: the surviving entry is one complete vector.
         final = CharacterizationCache(tmp_path).load(
-            _shared_trace(), SMALL_CONFIG
+            _shared_recipe(), SMALL_CONFIG
         )
         assert final is not None
         assert np.all(final == final[0])
@@ -105,7 +105,7 @@ class TestConcurrentSameKeyWriters:
     def test_warm_read_during_write_serves_verified_entries(
         self, tmp_path
     ):
-        expected = characterize(_shared_trace(), SMALL_CONFIG).values
+        expected = characterize(_shared_recipe().trace, SMALL_CONFIG).values
         with ProcessPoolExecutor(max_workers=4) as pool:
             writers = [
                 pool.submit(_real_writer_job, tmp_path, 15)
@@ -130,6 +130,6 @@ class TestConcurrentSameKeyWriters:
         assert not list(tmp_path.glob("*.quarantined"))
 
         warm = CharacterizationCache(tmp_path).load(
-            _shared_trace(), SMALL_CONFIG
+            _shared_recipe(), SMALL_CONFIG
         )
         assert np.array_equal(warm, expected)

@@ -1,6 +1,6 @@
 """Tests for the integrity-checked cache hierarchy.
 
-Every ``.npz`` the four cache levels write embeds a payload checksum
+Every ``.npz`` the cache levels write embeds a payload checksum
 plus schema metadata (level, semantic version, shape/dtype).  These
 tests pin the contract: any corrupted, wrong-shape, stale-version or
 foreign entry reads back as a *verified miss* that quarantines the file
@@ -23,38 +23,35 @@ from repro.mica import NUM_CHARACTERISTICS, characterize
 from repro.perf import (
     CharacterizationCache,
     HpcCache,
-    TraceCache,
+    TraceRecipe,
     cached_characterize,
     cached_collect_hpc,
-    cached_generate_trace,
     faults,
     integrity,
     reset_cache_degradation,
     sweep_temporaries,
     verify_cache,
 )
-from repro.synth import WorkloadProfile, generate_trace
+from repro.synth import WorkloadProfile
 
 SMALL_CONFIG = ReproConfig(trace_length=2_000)
 PROFILE = WorkloadProfile(name="integrity/p/1")
 
 
 @pytest.fixture(scope="module")
-def tiny_trace():
-    return generate_trace(PROFILE, 2_000)
+def tiny_recipe():
+    return TraceRecipe(PROFILE, 2_000)
 
 
-def _populate_all_levels(trace, directory) -> None:
-    cached_generate_trace(PROFILE, 2_000, cache_dir=directory)
-    cached_characterize(trace, SMALL_CONFIG, directory)
-    cached_collect_hpc(trace, cache_dir=directory)
+def _populate_all_levels(recipe, directory) -> None:
+    cached_characterize(recipe, SMALL_CONFIG, directory)
+    cached_collect_hpc(recipe, cache_dir=directory)
 
 
 class TestIntegrityMetadata:
-    def test_entries_embed_metadata(self, tiny_trace, tmp_path):
-        _populate_all_levels(tiny_trace, tmp_path)
-        for prefix, level in (("char", "char"), ("hpc", "hpc"),
-                              ("trace", "trace")):
+    def test_entries_embed_metadata(self, tiny_recipe, tmp_path):
+        _populate_all_levels(tiny_recipe, tmp_path)
+        for prefix, level in (("char", "char"), ("hpc", "hpc")):
             entry = next(tmp_path.glob(f"{prefix}-*.npz"))
             with np.load(entry, allow_pickle=False) as archive:
                 assert integrity.METADATA_FIELD in archive.files
@@ -67,11 +64,11 @@ class TestIntegrityMetadata:
                 assert set(spec) == {"shape", "dtype", "sha256"}
 
     def test_verify_entry_passes_on_healthy_entry(
-        self, tiny_trace, tmp_path
+        self, tiny_recipe, tmp_path
     ):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         arrays = integrity.verify_entry(
             path, level="char", version=1,
             expected={"values": ((NUM_CHARACTERISTICS,), np.float64)},
@@ -79,13 +76,13 @@ class TestIntegrityMetadata:
         assert np.array_equal(arrays["values"], vector.values)
 
     def test_legacy_entry_without_metadata_is_verified_miss(
-        self, tiny_trace, tmp_path
+        self, tiny_recipe, tmp_path
     ):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         np.savez(path, values=vector.values)  # pre-integrity format
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
         assert not path.exists()
         assert path.with_name(
             path.name + integrity.QUARANTINE_SUFFIX
@@ -96,56 +93,47 @@ class TestCorruptionModesQuarantine:
     """Every corruption mode reads as a verified miss and quarantines."""
 
     @pytest.mark.parametrize("mode", faults.CORRUPTION_MODES)
-    def test_char_entry(self, tiny_trace, tmp_path, mode):
+    def test_char_entry(self, tiny_recipe, tmp_path, mode):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         faults.corrupt_entry(path, mode, seed=7)
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
         assert not path.exists(), "bad entry must be moved aside"
         quarantined = path.with_name(
             path.name + integrity.QUARANTINE_SUFFIX
         )
         assert quarantined.exists()
         # Never re-served: a second load is still a plain miss.
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
 
     @pytest.mark.parametrize("mode", faults.CORRUPTION_MODES)
-    def test_trace_entry(self, tmp_path, mode):
-        cache = TraceCache(tmp_path)
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-        path = next(tmp_path.glob("trace-*.npz"))
-        faults.corrupt_entry(path, mode, seed=3)
-        assert cache.load(PROFILE, 2_000) is None
-        assert not path.exists()
-
-    @pytest.mark.parametrize("mode", faults.CORRUPTION_MODES)
-    def test_hpc_entry(self, tiny_trace, tmp_path, mode):
+    def test_hpc_entry(self, tiny_recipe, tmp_path, mode):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(tiny_trace, cache_dir=tmp_path)
+        cached_collect_hpc(tiny_recipe, cache_dir=tmp_path)
         path = next(tmp_path.glob("hpc-*.npz"))
         faults.corrupt_entry(path, mode, seed=5)
-        assert cache.load(tiny_trace) is None
+        assert cache.load(tiny_recipe) is None
         assert not path.exists()
 
     def test_recompute_after_quarantine_restores_entry(
-        self, tiny_trace, tmp_path
+        self, tiny_recipe, tmp_path
     ):
-        cold = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        cold = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         path = next(tmp_path.glob("char-*.npz"))
         faults.corrupt_entry(path, "bitflip", seed=0)
-        recomputed = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        recomputed = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         assert np.array_equal(recomputed.values, cold.values)
         assert CharacterizationCache(tmp_path).load(
-            tiny_trace, SMALL_CONFIG
+            tiny_recipe, SMALL_CONFIG
         ) is not None
 
-    def test_corruption_is_seeded_deterministic(self, tiny_trace, tmp_path):
-        vector = characterize(tiny_trace, SMALL_CONFIG)
+    def test_corruption_is_seeded_deterministic(self, tiny_recipe, tmp_path):
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
         cache = CharacterizationCache(tmp_path)
         digests = []
         for attempt in ("one", "two"):
-            path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+            path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
             faults.corrupt_entry(path, "bitflip", seed=42)
             with np.load(path, allow_pickle=False) as archive:
                 digests.append(archive["values"].tobytes())
@@ -156,84 +144,79 @@ class TestCorruptionModesQuarantine:
 class TestShapeDtypeValidation:
     """Wrong-shape entries must never flow into ``np.vstack``."""
 
-    def test_char_rejects_wrong_shape(self, tiny_trace, tmp_path):
+    def test_char_rejects_wrong_shape(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
         cache.store(
-            tiny_trace, SMALL_CONFIG,
+            tiny_recipe, SMALL_CONFIG,
             np.zeros(NUM_CHARACTERISTICS + 1),
         )
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
 
-    def test_char_rejects_wrong_dtype(self, tiny_trace, tmp_path):
+    def test_char_rejects_wrong_dtype(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
         cache.store(
-            tiny_trace, SMALL_CONFIG,
+            tiny_recipe, SMALL_CONFIG,
             np.zeros(NUM_CHARACTERISTICS, dtype=np.float32),
         )
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
 
-    def test_hpc_rejects_wrong_shape(self, tiny_trace, tmp_path):
+    def test_hpc_rejects_wrong_shape(self, tiny_recipe, tmp_path):
         cache = HpcCache(tmp_path)
         from repro.uarch import EV56_CONFIG, EV67_CONFIG
 
         cache.store(
-            tiny_trace, EV56_CONFIG, EV67_CONFIG, np.zeros(3)
+            tiny_recipe, EV56_CONFIG, EV67_CONFIG, np.zeros(3)
         )
-        assert cache.load(tiny_trace) is None
-
-    def test_trace_rejects_wrong_length(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        trace = generate_trace(PROFILE, 1_000)
-        cache.store(PROFILE, 2_000, 0, trace)  # stored under wrong key
-        assert cache.load(PROFILE, 2_000) is None
+        assert cache.load(tiny_recipe) is None
 
 
 class TestGracefulDegradation:
     """Unwritable cache directories degrade, with a single warning."""
 
-    def test_enospc_store_degrades_once(self, tiny_trace, tmp_path):
+    def test_enospc_store_degrades_once(self, tiny_recipe, tmp_path):
         reset_cache_degradation()
         with pytest.warns(CacheDegradedWarning) as caught:
             with faults.inject_io_faults(
                 "store", indices=range(8), partial_write=True
             ):
                 first = cached_characterize(
-                    tiny_trace, SMALL_CONFIG, tmp_path
+                    tiny_recipe, SMALL_CONFIG, tmp_path
                 )
                 second = cached_characterize(
-                    tiny_trace, SMALL_CONFIG, tmp_path
+                    tiny_recipe, SMALL_CONFIG, tmp_path
                 )
         assert len(caught) == 1, "exactly one warning per directory"
-        direct = characterize(tiny_trace, SMALL_CONFIG)
+        direct = characterize(tiny_recipe.trace, SMALL_CONFIG)
         assert np.array_equal(first.values, direct.values)
         assert np.array_equal(second.values, direct.values)
         reset_cache_degradation()
 
-    def test_failed_store_leaves_no_temp_litter(self, tiny_trace, tmp_path):
+    def test_failed_store_leaves_no_temp_litter(self, tiny_recipe, tmp_path):
         reset_cache_degradation()
         with pytest.warns(CacheDegradedWarning):
             with faults.inject_io_faults(
                 "store", indices=(0,), partial_write=True
             ):
-                cached_collect_hpc(tiny_trace, cache_dir=tmp_path)
+                cached_collect_hpc(tiny_recipe, cache_dir=tmp_path)
         assert not list(tmp_path.glob("tmp-*.npz"))
         reset_cache_degradation()
 
     def test_rename_failure_degrades_and_cleans_temp(
-        self, tiny_trace, tmp_path
+        self, tiny_recipe, tmp_path
     ):
         reset_cache_degradation()
         with pytest.warns(CacheDegradedWarning):
             with faults.inject_io_faults("rename", indices=(0,)):
-                trace = cached_generate_trace(
-                    PROFILE, 1_000, cache_dir=tmp_path
+                vector = cached_characterize(
+                    tiny_recipe, SMALL_CONFIG, tmp_path
                 )
-        assert len(trace) == 1_000
+        direct = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        assert np.array_equal(vector.values, direct.values)
         assert not list(tmp_path.glob("tmp-*.npz"))
         reset_cache_degradation()
 
-    def test_load_io_error_is_transient_miss(self, tiny_trace, tmp_path):
-        cold = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+    def test_load_io_error_is_transient_miss(self, tiny_recipe, tmp_path):
+        cold = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         path = next(tmp_path.glob("char-*.npz"))
         import errno
 
@@ -241,25 +224,25 @@ class TestGracefulDegradation:
             "load", indices=(0,), errno=errno.EIO
         ):
             assert CharacterizationCache(tmp_path).load(
-                tiny_trace, SMALL_CONFIG
+                tiny_recipe, SMALL_CONFIG
             ) is None
         # The entry survives (not quarantined) and serves again.
         assert path.exists()
         warm = CharacterizationCache(tmp_path).load(
-            tiny_trace, SMALL_CONFIG
+            tiny_recipe, SMALL_CONFIG
         )
         assert np.array_equal(warm, cold.values)
 
 
 class TestClearRaceAndSweep:
     def test_clear_tolerates_concurrent_deletion(
-        self, tiny_trace, tmp_path, monkeypatch
+        self, tiny_recipe, tmp_path, monkeypatch
     ):
         cache = CharacterizationCache(tmp_path)
-        cache.store(tiny_trace, SMALL_CONFIG,
+        cache.store(tiny_recipe, SMALL_CONFIG,
                     np.zeros(NUM_CHARACTERISTICS))
         cache.store(
-            tiny_trace, SMALL_CONFIG.with_overrides(ppm_max_order=2),
+            tiny_recipe, SMALL_CONFIG.with_overrides(ppm_max_order=2),
             np.zeros(NUM_CHARACTERISTICS),
         )
         real_unlink = Path.unlink
@@ -278,14 +261,14 @@ class TestClearRaceAndSweep:
         assert len(cache) == 0
 
     def test_clear_sweeps_temp_and_quarantine_litter(
-        self, tiny_trace, tmp_path
+        self, tiny_recipe, tmp_path
     ):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(tiny_trace, cache_dir=tmp_path)
+        cached_collect_hpc(tiny_recipe, cache_dir=tmp_path)
         (tmp_path / "tmp-hpc-dead.1234.npz").write_bytes(b"crashed writer")
         entry = next(tmp_path.glob("hpc-*.npz"))
         faults.corrupt_entry(entry, "truncate")
-        assert cache.load(tiny_trace) is None  # quarantines
+        assert cache.load(tiny_recipe) is None  # quarantines
         assert cache.clear() == 2  # quarantined + tmp litter
         assert not list(tmp_path.glob("tmp-*.npz"))
         assert not list(tmp_path.glob("*.quarantined"))
@@ -303,14 +286,14 @@ class TestClearRaceAndSweep:
 
 
 class TestVerifyCache:
-    def test_scan_quarantines_bad_entries_only(self, tiny_trace, tmp_path):
-        _populate_all_levels(tiny_trace, tmp_path)
+    def test_scan_quarantines_bad_entries_only(self, tiny_recipe, tmp_path):
+        _populate_all_levels(tiny_recipe, tmp_path)
         bad = next(tmp_path.glob("char-*.npz"))
         faults.corrupt_entry(bad, "bitflip", seed=1)
         report = verify_cache(tmp_path, sweep_older_than=0.0)
         assert report.scanned["char"] == 1
         assert report.scanned["hpc"] == 1
-        assert report.scanned["trace"] == 1
+        assert "trace" not in report.scanned
         assert len(report.quarantined) == 1
         assert report.quarantined[0].path == str(bad)
         assert "checksum" in report.quarantined[0].reason
@@ -358,20 +341,20 @@ class TestVerifyCache:
         clean = verify_cache(tmp_path, sweep_older_than=0.0)
         assert clean.journal_truncations == ()
 
-    def test_verify_entry_raises_typed_error(self, tiny_trace, tmp_path):
+    def test_verify_entry_raises_typed_error(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         faults.corrupt_entry(path, "foreign")
         with pytest.raises(CacheIntegrityError, match="foreign"):
             integrity.verify_entry(path, level="char", version=1)
 
 
 class TestCacheCli:
-    def test_cache_verify_command(self, tiny_trace, tmp_path, capsys):
+    def test_cache_verify_command(self, tiny_recipe, tmp_path, capsys):
         from repro.cli import main
 
-        cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         bad = next(tmp_path.glob("char-*.npz"))
         faults.corrupt_entry(bad, "truncate")
         code = main(["--cache-dir", str(tmp_path), "cache", "verify"])
@@ -383,10 +366,10 @@ class TestCacheCli:
         assert captured.err.startswith("error:")
         assert list(tmp_path.glob("*.quarantined"))
 
-    def test_cache_clear_command(self, tiny_trace, tmp_path, capsys):
+    def test_cache_clear_command(self, tiny_recipe, tmp_path, capsys):
         from repro.cli import main
 
-        cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         code = main(["--cache-dir", str(tmp_path), "cache", "clear"])
         assert code == 0
         assert "removed 1 file(s)" in capsys.readouterr().out

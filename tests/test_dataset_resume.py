@@ -77,7 +77,7 @@ class TestJournaledBuild:
         assert events.count("completed") == len(POPULATION)
         completed = [r for r in records if r["event"] == "completed"]
         for record in completed:
-            assert set(record["entries"]) == {"trace", "char", "hpc"}
+            assert set(record["entries"]) == {"char", "hpc"}
             # Vectors are exact float64 bytes, not lossy repr.
             mica = np.frombuffer(
                 bytes.fromhex(record["mica"]), dtype=np.float64

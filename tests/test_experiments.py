@@ -1,6 +1,8 @@
 """Integration tests: dataset builder and all experiment drivers on a
 small six-benchmark population."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from repro.config import ReproConfig
 from repro.errors import AnalysisError
 from repro.experiments import (
     build_dataset,
+    clear_dataset_cache,
+    dataset_journal_path,
+    load_cached_dataset,
     measurement_cost,
+    resume_dataset,
     run_all,
     run_case_study,
     run_fig1,
@@ -78,6 +84,36 @@ class TestBuildDataset:
             workers=1,
         )
         assert np.array_equal(first.mica, second.mica)
+
+    @pytest.mark.parametrize("as_dir", [str, Path], ids=["str", "Path"])
+    def test_cache_dir_accepts_str_or_path(
+        self, small_population, tmp_path, as_dir
+    ):
+        from repro.experiments.dataset import _MEMORY_CACHE
+
+        config = ReproConfig(trace_length=2_000)
+        population = small_population[:2]
+        cache_dir = as_dir(tmp_path / "cache")
+        _MEMORY_CACHE.clear()
+        built = build_dataset(
+            config, benchmarks=population, cache_dir=cache_dir, jobs=1
+        )
+        _MEMORY_CACHE.clear()
+        loaded = load_cached_dataset(
+            config, benchmarks=population, cache_dir=cache_dir
+        )
+        assert loaded.mica.tobytes() == built.mica.tobytes()
+        journal = dataset_journal_path(
+            config, benchmarks=population, cache_dir=cache_dir
+        )
+        assert journal.parent == tmp_path / "cache"
+        _MEMORY_CACHE.clear()
+        resumed = resume_dataset(
+            config, benchmarks=population, cache_dir=cache_dir, jobs=1
+        )
+        assert resumed.hpc.tobytes() == built.hpc.tobytes()
+        assert clear_dataset_cache(cache_dir) > 0
+        assert not list((tmp_path / "cache").glob("*.npz"))
 
     def test_parallel_matches_serial(self, small_population, dataset):
         parallel = build_dataset(

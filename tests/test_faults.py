@@ -53,7 +53,7 @@ def _warm_copy(reference_dir, tmp_path):
 class TestCorruptionEquivalence:
     """Corruption at any cache level never changes a completed build."""
 
-    @pytest.mark.parametrize("prefix", ["char", "hpc", "trace", "dataset"])
+    @pytest.mark.parametrize("prefix", ["char", "hpc", "dataset"])
     @pytest.mark.parametrize("mode", faults.CORRUPTION_MODES)
     def test_rebuild_matches_cold_serial(
         self, reference, population, tmp_path, mode, prefix

@@ -1,11 +1,12 @@
-"""Tests for the content+machine-keyed HPC cache and golden vectors.
+"""Tests for the recipe+machine-keyed HPC cache and golden vectors.
 
-The HPC cache sits beside the characterization cache (same content
-hash, machine fingerprints + ``HPC_SIM_VERSION`` instead of the config
-fingerprint).  These tests pin the key contract and that warm dataset
-builds never run a pipeline model (via :func:`repro.uarch.hpc_call_count`,
-the analogue of ``generation_call_count`` for the trace cache), plus a
-golden-vector regression over the eight-benchmark test population.
+The HPC cache sits beside the characterization cache (same generation
+recipe key, machine fingerprints + ``HPC_SIM_VERSION`` instead of the
+config fingerprint).  These tests pin the key contract and that warm
+dataset builds never run a pipeline model (via
+:func:`repro.uarch.hpc_call_count`, the analogue of
+``generation_call_count`` for generation), plus a golden-vector
+regression over the eight-benchmark test population.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import repro.perf.cache as perf_cache
 from repro.config import ReproConfig
 from repro.experiments import build_dataset, clear_dataset_cache
 from repro.experiments.dataset import _MEMORY_CACHE
-from repro.perf import HpcCache, cached_collect_hpc
+from repro.perf import HpcCache, TraceRecipe, cached_collect_hpc
 from repro.synth import WorkloadProfile, generate_trace
 from repro.uarch import (
     EV56_CONFIG,
@@ -36,69 +37,69 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "hpc_golden.json"
 
 
 @pytest.fixture(scope="module")
-def small_trace():
-    return generate_trace(WorkloadProfile(name="hpc/cache/1"), 2_000)
+def small_recipe():
+    return TraceRecipe(WorkloadProfile(name="hpc/cache/1"), 2_000)
 
 
 class TestHpcCache:
-    def test_hit_returns_identical_vector(self, small_trace, tmp_path):
-        cold = cached_collect_hpc(small_trace, cache_dir=tmp_path)
-        warm = cached_collect_hpc(small_trace, cache_dir=tmp_path)
+    def test_hit_returns_identical_vector(self, small_recipe, tmp_path):
+        cold = cached_collect_hpc(small_recipe, cache_dir=tmp_path)
+        warm = cached_collect_hpc(small_recipe, cache_dir=tmp_path)
         assert np.array_equal(cold.values, warm.values)
-        assert warm.name == small_trace.name
+        assert warm.name == small_recipe.name
         assert len(HpcCache(tmp_path)) == 1
 
-    def test_hit_skips_the_pipeline_models(self, small_trace, tmp_path):
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
+    def test_hit_skips_the_pipeline_models(self, small_recipe, tmp_path):
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
         calls_before = hpc_call_count()
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
         assert hpc_call_count() == calls_before
 
     def test_distinct_trace_machine_version_miss(
-        self, small_trace, tmp_path
+        self, small_recipe, tmp_path
     ):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
-        other_trace = generate_trace(
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
+        other_recipe = TraceRecipe(
             WorkloadProfile(name="hpc/cache/2"), 2_000
         )
-        assert cache.load(other_trace) is None
+        assert cache.load(other_recipe) is None
         slower = replace(
             EV56_CONFIG,
             latencies=replace(EV56_CONFIG.latencies, memory=300),
         )
-        assert cache.load(small_trace, inorder=slower) is None
-        assert cache.load(small_trace, ooo=replace(
+        assert cache.load(small_recipe, inorder=slower) is None
+        assert cache.load(small_recipe, ooo=replace(
             EV67_CONFIG, window_size=16
         )) is None
-        assert cache.load(small_trace) is not None
+        assert cache.load(small_recipe) is not None
 
-    def test_version_bump_invalidates(self, small_trace, tmp_path,
+    def test_version_bump_invalidates(self, small_recipe, tmp_path,
                                       monkeypatch):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
-        assert cache.load(small_trace) is not None
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
+        assert cache.load(small_recipe) is not None
         monkeypatch.setattr(
             perf_cache, "HPC_SIM_VERSION",
             perf_cache.HPC_SIM_VERSION + 1,
         )
-        assert cache.load(small_trace) is None
+        assert cache.load(small_recipe) is None
 
-    def test_corrupt_entry_is_a_miss(self, small_trace, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, small_recipe, tmp_path):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
         for path in tmp_path.glob("hpc-*.npz"):
             path.write_bytes(b"not an npz")
-        assert cache.load(small_trace) is None
+        assert cache.load(small_recipe) is None
 
-    def test_no_cache_dir_is_plain_collect(self, small_trace):
-        direct = collect_hpc(small_trace)
-        wrapped = cached_collect_hpc(small_trace, cache_dir=None)
+    def test_no_cache_dir_is_plain_collect(self, small_recipe):
+        direct = collect_hpc(small_recipe.trace)
+        wrapped = cached_collect_hpc(small_recipe, cache_dir=None)
         assert np.array_equal(direct.values, wrapped.values)
 
-    def test_clear(self, small_trace, tmp_path):
+    def test_clear(self, small_recipe, tmp_path):
         cache = HpcCache(tmp_path)
-        cached_collect_hpc(small_trace, cache_dir=tmp_path)
+        cached_collect_hpc(small_recipe, cache_dir=tmp_path)
         assert cache.clear() == 1
         assert len(cache) == 0
 

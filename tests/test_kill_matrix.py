@@ -4,12 +4,12 @@ The atomic-writer contract under uncatchable death: an interrupted
 store is never half-visible — the entry either fully exists and
 verifies, or does not exist at all (at worst a ``tmp-*`` temp is
 stranded for the sweep). One parametrized kill per cache level
-(trace, char, hpc, dataset) plus one mid-append journal tear, each
-followed by a resume that must converge bit-for-bit.
+(char, hpc, dataset) plus one mid-append journal tear, each followed by
+a resume that must converge bit-for-bit.
 
-A serial build stores trace → char → hpc per benchmark, then the
-dataset matrices last; ``after`` counts writer-seam hits, which is
-what aims the kill at a specific level.
+A serial build stores char → hpc per benchmark, then the dataset
+matrices last; ``after`` counts writer-seam hits, which is what aims
+the kill at a specific level.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ CHILD = textwrap.dedent("""
 """)
 
 # label -> (seam, writer hits to allow first, visible entry counts the
-# killed cache must show as (trace, char, hpc, dataset)).
+# killed cache must show as (trace, char, hpc, dataset)).  No build
+# writes a trace entry, so the trace count stays 0 throughout.
 CASES = {
-    "trace": ("writer-before-replace", 0, (0, 0, 0, 0)),
-    "char": ("writer-before-replace", 1, (1, 0, 0, 0)),
-    "hpc": ("writer-before-replace", 2, (1, 1, 0, 0)),
+    "char": ("writer-before-replace", 0, (0, 0, 0, 0)),
+    "hpc": ("writer-before-replace", 1, (0, 1, 0, 0)),
     "dataset": (
         "writer-before-replace",
-        3 * len(POPULATION),
-        (len(POPULATION), len(POPULATION), len(POPULATION), 0),
+        2 * len(POPULATION),
+        (0, len(POPULATION), len(POPULATION), 0),
     ),
     "journal": ("journal-append-unsynced", 3, None),
 }

@@ -15,6 +15,7 @@ from repro.mica import NUM_CHARACTERISTICS, characterize
 from repro.perf import (
     CharacterizationCache,
     MicaBenchResult,
+    TraceRecipe,
     cached_characterize,
     run_mica_bench,
     trace_fingerprint,
@@ -29,6 +30,11 @@ SMALL_CONFIG = ReproConfig(trace_length=2_000)
 @pytest.fixture()
 def tiny_trace():
     return generate_trace(WorkloadProfile(name="perf/t/1"), 2_000)
+
+
+@pytest.fixture()
+def tiny_recipe():
+    return TraceRecipe(WorkloadProfile(name="perf/t/1"), 2_000)
 
 
 class TestTraceFingerprint:
@@ -69,53 +75,53 @@ class TestConfigFingerprint:
 
 
 class TestCharacterizationCache:
-    def test_miss_then_hit(self, tiny_trace, tmp_path):
+    def test_miss_then_hit(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         assert len(cache) == 1
-        loaded = cache.load(tiny_trace, SMALL_CONFIG)
+        loaded = cache.load(tiny_recipe, SMALL_CONFIG)
         assert np.array_equal(loaded, vector.values)
 
-    def test_config_keys_separate_entries(self, tiny_trace, tmp_path):
+    def test_config_keys_separate_entries(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         assert cache.load(
-            tiny_trace, SMALL_CONFIG.with_overrides(ppm_max_order=2)
+            tiny_recipe, SMALL_CONFIG.with_overrides(ppm_max_order=2)
         ) is None
 
-    def test_corrupt_entry_is_a_miss(self, tiny_trace, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        path = cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        path = cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         path.write_bytes(b"not an npz")
-        assert cache.load(tiny_trace, SMALL_CONFIG) is None
+        assert cache.load(tiny_recipe, SMALL_CONFIG) is None
 
-    def test_clear(self, tiny_trace, tmp_path):
+    def test_clear(self, tiny_recipe, tmp_path):
         cache = CharacterizationCache(tmp_path)
-        vector = characterize(tiny_trace, SMALL_CONFIG)
-        cache.store(tiny_trace, SMALL_CONFIG, vector.values)
+        vector = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        cache.store(tiny_recipe, SMALL_CONFIG, vector.values)
         assert cache.clear() == 1
         assert len(cache) == 0
 
     def test_cached_characterize_warm_skips_analyzers(
-        self, tiny_trace, tmp_path, monkeypatch
+        self, tiny_recipe, tmp_path, monkeypatch
     ):
-        cold = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        cold = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("analyzers ran on a warm cache")
 
         monkeypatch.setattr(perf_cache, "characterize", boom)
-        warm = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+        warm = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
         assert np.array_equal(cold.values, warm.values)
-        assert warm.name == tiny_trace.name
+        assert warm.name == tiny_recipe.name
 
-    def test_no_cache_dir_is_plain_characterize(self, tiny_trace):
-        direct = characterize(tiny_trace, SMALL_CONFIG)
-        wrapped = cached_characterize(tiny_trace, SMALL_CONFIG, None)
+    def test_no_cache_dir_is_plain_characterize(self, tiny_recipe):
+        direct = characterize(tiny_recipe.trace, SMALL_CONFIG)
+        wrapped = cached_characterize(tiny_recipe, SMALL_CONFIG, None)
         assert np.array_equal(direct.values, wrapped.values)
 
 
@@ -405,6 +411,6 @@ def test_generation_speedup_floor_at_default_trace_length():
     assert result.speedups["engine"] >= 10.0
 
 
-def test_characteristic_vector_dimensions(tiny_trace, tmp_path):
-    vector = cached_characterize(tiny_trace, SMALL_CONFIG, tmp_path)
+def test_characteristic_vector_dimensions(tiny_recipe, tmp_path):
+    vector = cached_characterize(tiny_recipe, SMALL_CONFIG, tmp_path)
     assert vector.values.shape == (NUM_CHARACTERISTICS,)

@@ -38,9 +38,9 @@ import pytest
 from repro.config import ReproConfig
 from repro.experiments.dataset import _MEMORY_CACHE
 from repro.perf import (
+    TraceRecipe,
     cached_characterize,
     cached_collect_hpc,
-    cached_generate_trace,
     faults,
     reset_cache_degradation,
 )
@@ -158,24 +158,20 @@ def live_service(tmp_path):
 def expected_characterize_bytes() -> bytes:
     """The cold serial characterize body, computed without the service
     (and without any cache): the bit-for-bit reference."""
-    benchmark = get_benchmark(BENCH)
-    trace = cached_generate_trace(
-        benchmark.profile, SMALL_CONFIG.trace_length, seed=0,
-        cache_dir=None,
+    recipe = TraceRecipe(
+        get_benchmark(BENCH).profile, SMALL_CONFIG.trace_length, seed=0
     )
-    vector = cached_characterize(trace, SMALL_CONFIG, None)
+    vector = cached_characterize(recipe, SMALL_CONFIG, None)
     return json.dumps(characterize_payload(
         BENCH, SMALL_CONFIG.trace_length, 0, vector.values
     )).encode("utf-8")
 
 
 def expected_hpc_bytes() -> bytes:
-    benchmark = get_benchmark(BENCH)
-    trace = cached_generate_trace(
-        benchmark.profile, SMALL_CONFIG.trace_length, seed=0,
-        cache_dir=None,
+    recipe = TraceRecipe(
+        get_benchmark(BENCH).profile, SMALL_CONFIG.trace_length, seed=0
     )
-    vector = cached_collect_hpc(trace, cache_dir=None)
+    vector = cached_collect_hpc(recipe, cache_dir=None)
     return json.dumps(hpc_payload(
         BENCH, SMALL_CONFIG.trace_length, 0, vector.values
     )).encode("utf-8")
@@ -206,6 +202,22 @@ class TestWarmAndColdPaths:
         warm = client.post("/v1/hpc", {"benchmark": "mcf"})
         assert warm.headers["X-Repro-Source"] == "cache"
         assert warm.raw == cold.raw
+
+    def test_warm_hits_never_generate_or_hash_a_trace(
+        self, live_service, count_perf_cache_calls
+    ):
+        service, client = live_service()
+        for kind in ("characterize", "hpc"):
+            cold = client.post(f"/v1/{kind}", {"benchmark": "mcf",
+                                               "wait": True})
+            assert cold.headers["X-Repro-Source"] == "computed"
+        calls = count_perf_cache_calls("generate_trace", "trace_fingerprint")
+        for kind in ("characterize", "hpc"):
+            warm = client.post(f"/v1/{kind}", {"benchmark": "mcf"})
+            assert warm.status == 200
+            assert warm.headers["X-Repro-Source"] == "cache"
+        assert calls == {"generate_trace": 0, "trace_fingerprint": 0}
+        assert not list(Path(service.cache_dir).glob("trace-*.npz"))
 
     def test_async_submit_then_poll(self, live_service):
         _, client = live_service()

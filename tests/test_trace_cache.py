@@ -1,10 +1,11 @@
-"""Tests for the profile+seed-keyed trace cache and the static-code memo.
+"""Tests for recipe-keyed per-trace cache entries and the static-code memo.
 
-The trace cache sits *below* the content-keyed characterization cache:
-it skips generation itself, which a content hash cannot (hashing needs
-the bytes).  These tests pin the cache key contract (profile
-fingerprint, length, seed, TRACE_GEN_VERSION) and that warm dataset
-builds never invoke the generator.
+The characterization and HPC entries key on the trace's generation
+recipe (profile fingerprint, length, seed, TRACE_GEN_VERSION), never on
+its bytes.  These tests pin the recipe key contract, that warm dataset
+builds never generate or hash a trace, that a cold build generates each
+trace exactly once and writes no trace entry, and that clearing the
+cache still removes trace entries older versions wrote.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import repro.perf.cache as perf_cache
 from repro.config import ReproConfig
 from repro.experiments import build_dataset, clear_dataset_cache
 from repro.experiments.dataset import _MEMORY_CACHE
-from repro.perf import TraceCache, cached_generate_trace
+from repro.perf import TraceRecipe
 from repro.synth import (
     CodeSpec,
     WorkloadProfile,
@@ -63,59 +64,42 @@ class TestProfileFingerprint:
         ).fingerprint()
 
 
-class TestTraceCache:
-    def test_hit_returns_bit_identical_bytes(self, tmp_path):
-        cold = cached_generate_trace(PROFILE, 2_000, seed=4, cache_dir=tmp_path)
-        warm = cached_generate_trace(PROFILE, 2_000, seed=4, cache_dir=tmp_path)
-        assert warm.data.tobytes() == cold.data.tobytes()
-        assert warm.name == PROFILE.name
-        assert len(TraceCache(tmp_path)) == 1
+class TestTraceRecipe:
+    def test_trace_is_generated_lazily_once(self, count_perf_cache_calls):
+        calls = count_perf_cache_calls("generate_trace")
+        recipe = TraceRecipe(PROFILE, 2_000, seed=4)
+        recipe.key()
+        assert calls["generate_trace"] == 0
+        first = recipe.trace
+        assert recipe.trace is first
+        assert calls["generate_trace"] == 1
+        direct = generate_trace(PROFILE, 2_000, seed=4)
+        assert first.data.tobytes() == direct.data.tobytes()
+        assert recipe.name == PROFILE.name
 
-    def test_hit_skips_the_generator(self, tmp_path, monkeypatch):
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("generator ran on a warm trace cache")
-
-        monkeypatch.setattr(perf_cache, "generate_trace", boom)
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-
-    def test_distinct_seed_length_profile_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        cached_generate_trace(PROFILE, 2_000, seed=0, cache_dir=tmp_path)
-        assert cache.load(PROFILE, 2_000, seed=1) is None
-        assert cache.load(PROFILE, 1_999, seed=0) is None
-        assert cache.load(PROFILE.with_overrides(seed=5), 2_000) is None
+    def test_key_is_deterministic(self):
         assert (
-            cache.load(WorkloadProfile(name="cache/other/1"), 2_000) is None
+            TraceRecipe(PROFILE, 2_000).key()
+            == TraceRecipe(WorkloadProfile(name="cache/profile/1"),
+                           2_000).key()
         )
 
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        cache = TraceCache(tmp_path)
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-        assert cache.load(PROFILE, 2_000) is not None
+    def test_distinct_seed_length_profile_keys(self):
+        keys = {
+            TraceRecipe(PROFILE, 2_000, seed=0).key(),
+            TraceRecipe(PROFILE, 2_000, seed=1).key(),
+            TraceRecipe(PROFILE, 1_999, seed=0).key(),
+            TraceRecipe(PROFILE.with_overrides(seed=5), 2_000).key(),
+            TraceRecipe(WorkloadProfile(name="cache/other/1"), 2_000).key(),
+        }
+        assert len(keys) == 5
+
+    def test_generation_version_bump_changes_the_key(self, monkeypatch):
+        before = TraceRecipe(PROFILE, 2_000).key()
         monkeypatch.setattr(
             perf_cache, "TRACE_GEN_VERSION", perf_cache.TRACE_GEN_VERSION + 1
         )
-        assert cache.load(PROFILE, 2_000) is None
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-        for path in tmp_path.glob("trace-*.npz"):
-            path.write_bytes(b"not an npz")
-        assert cache.load(PROFILE, 2_000) is None
-
-    def test_no_cache_dir_is_plain_generate(self):
-        direct = generate_trace(PROFILE, 1_000, seed=2)
-        wrapped = cached_generate_trace(PROFILE, 1_000, seed=2, cache_dir=None)
-        assert np.array_equal(direct.data, wrapped.data)
-
-    def test_clear(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        cached_generate_trace(PROFILE, 2_000, cache_dir=tmp_path)
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        assert TraceRecipe(PROFILE, 2_000).key() != before
 
 
 class TestWarmDatasetBuildSkipsGeneration:
@@ -133,8 +117,8 @@ class TestWarmDatasetBuildSkipsGeneration:
         assert removed, "cold build should have written the dataset cache"
         for path in removed:
             path.unlink()
-        assert list(tmp_path.glob("trace-*.npz")), (
-            "cold build should have populated the trace cache"
+        assert not list(tmp_path.glob("trace-*.npz")), (
+            "a build must never cache the traces themselves"
         )
         _MEMORY_CACHE.clear()
 
@@ -147,6 +131,43 @@ class TestWarmDatasetBuildSkipsGeneration:
         assert np.array_equal(warm.hpc, cold.hpc)
         _MEMORY_CACHE.clear()
 
+    def test_warm_build_touches_no_trace(
+        self, small_population, tmp_path, count_perf_cache_calls
+    ):
+        population = small_population[:2]
+        _MEMORY_CACHE.clear()
+        cold = build_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=tmp_path, jobs=1
+        )
+        for path in tmp_path.glob("dataset-*.npz"):
+            path.unlink()
+        _MEMORY_CACHE.clear()
+
+        calls = count_perf_cache_calls("generate_trace",
+                                       "trace_fingerprint")
+        warm = build_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=tmp_path, jobs=1
+        )
+        assert calls == {"generate_trace": 0, "trace_fingerprint": 0}
+        assert warm.mica.tobytes() == cold.mica.tobytes()
+        assert warm.hpc.tobytes() == cold.hpc.tobytes()
+        _MEMORY_CACHE.clear()
+
+    def test_cold_build_generates_each_trace_once(
+        self, small_population, tmp_path, count_perf_cache_calls
+    ):
+        _MEMORY_CACHE.clear()
+        calls = count_perf_cache_calls("generate_trace")
+        build_dataset(
+            SMALL_CONFIG, benchmarks=small_population[:1],
+            cache_dir=tmp_path, jobs=1,
+        )
+        assert calls["generate_trace"] == 1
+        assert list(tmp_path.glob("char-*.npz"))
+        assert list(tmp_path.glob("hpc-*.npz"))
+        assert not list(tmp_path.glob("trace-*.npz"))
+        _MEMORY_CACHE.clear()
+
     def test_clear_dataset_cache_removes_trace_entries(
         self, small_population, tmp_path
     ):
@@ -156,11 +177,17 @@ class TestWarmDatasetBuildSkipsGeneration:
             cache_dir=tmp_path,
             jobs=1,
         )
-        assert list(tmp_path.glob("trace-*.npz"))
-        clear_dataset_cache(tmp_path)
-        assert not list(tmp_path.glob("trace-*.npz"))
-        assert not list(tmp_path.glob("char-*.npz"))
-        assert not list(tmp_path.glob("dataset-*.npz"))
+        # Trace entries, their quarantined copies and writer temps left
+        # by older versions, which cached generated traces.
+        legacy = [
+            tmp_path / "trace-0123abcd.npz",
+            tmp_path / "trace-4567ef01.npz.quarantined",
+            tmp_path / "tmp-trace-89abcdef.npz",
+        ]
+        for path in legacy:
+            path.write_bytes(b"legacy")
+        assert clear_dataset_cache(tmp_path) >= len(legacy) + 5
+        assert not list(tmp_path.iterdir())
 
 
 class TestStaticCodeMemo:

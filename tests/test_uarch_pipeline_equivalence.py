@@ -1,9 +1,7 @@
 """Batch pipeline engines vs the retained scalar references.
 
-Three implementations of each pipeline model must agree bit-for-bit on
-IPC: the production batch walk (``run``), the retained scalar loop
-(``run_reference``) and the independent max-plus fixed-point engine
-(:mod:`repro.uarch.pipeline_batch`'s ``inorder_cycles``/``ooo_cycles``).
+The production batch walk (``run``) of each pipeline model must agree
+bit-for-bit on IPC with the retained scalar loop (``run_reference``).
 Coverage spans the eight-benchmark test population, randomized traces,
 and hand-built adversarial traces exercising window-full stalls,
 memory-port conflicts at full issue width, back-to-back mispredicted
@@ -16,7 +14,6 @@ import pytest
 
 from conftest import make_alu_chain, make_independent_alu
 from repro.isa import OpClass
-from repro.mica.ilp import producer_indices
 from repro.synth import generate_trace
 from repro.trace import TraceBuilder
 from repro.uarch import (
@@ -28,29 +25,23 @@ from repro.uarch import (
 )
 from repro.uarch.configs import LatencyModel
 from repro.uarch.events import simulate_events
-from repro.uarch.pipeline_batch import inorder_cycles, ooo_cycles
 from repro.workloads import all_benchmarks
 
 
 def assert_all_engines_agree(trace, inorder=EV56_CONFIG, ooo=EV67_CONFIG):
-    """Pin walk == reference == fixed-point, bit for bit, both models."""
-    producers = producer_indices(trace)
+    """Pin walk == reference, bit for bit, both models."""
     if inorder is not None:
         events = simulate_events(trace, inorder)
         model = InOrderModel(inorder)
         ipc_walk, _ = model.run(trace, events=events)
         ipc_ref, _ = model.run_reference(trace, events=events)
         assert ipc_walk == ipc_ref, "in-order walk != reference"
-        cycles = inorder_cycles(trace, inorder, events, producers)
-        assert len(trace) / cycles == ipc_ref, "in-order fixed-point"
     if ooo is not None:
         events = simulate_events(trace, ooo)
         model = OutOfOrderModel(ooo)
         ipc_walk, _ = model.run(trace, events=events)
         ipc_ref, _ = model.run_reference(trace, events=events)
         assert ipc_walk == ipc_ref, "out-of-order walk != reference"
-        cycles = ooo_cycles(trace, ooo, events, producers)
-        assert len(trace) / cycles == ipc_ref, "out-of-order fixed-point"
 
 
 def narrow_inorder(width: int, penalty: int = 5) -> MachineConfig:
@@ -204,9 +195,8 @@ class TestAdversarialEquivalence:
         )
 
     def test_narrow_ooo_widths(self):
-        """Width-1/2 out-of-order machines exercise the fetch-bump fold
-        and the run-straddling skip eligibility the production width
-        never hits."""
+        """Width-1/2 out-of-order machines exercise fetch-bump corners
+        the production width never hits."""
         trace = make_independent_alu(300)
         for width in (1, 2):
             for window in (2, 7, 80):
