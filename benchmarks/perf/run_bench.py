@@ -11,7 +11,7 @@ the retained chunked reference, signature extractors, phase
 detection) and the shard engine (one-shot vs the sequential
 shard+merge stream and the 2/4-worker intra-trace fan-out), then
 writes the machine-readable ``BENCH_mica.json``
-trajectory file (schema ``BENCH_mica/v6``).  Also
+trajectory file (schema ``BENCH_mica/v7``).  Also
 reachable as ``python -m repro bench``; this thin wrapper exists so the
 harness can be invoked from a checkout without installing the package::
 

@@ -90,6 +90,26 @@ class ReproConfig:
         lo, hi = self.kmeans_k_range
         if lo < 1 or hi < lo:
             raise ConfigurationError("kmeans_k_range must satisfy 1 <= lo <= hi")
+        for name, default in (
+            ("ilp_window_sizes", ILP_WINDOW_SIZES),
+            ("reg_dep_thresholds", REG_DEP_THRESHOLDS),
+            ("stride_thresholds", STRIDE_THRESHOLDS),
+        ):
+            # Table II fixes the section widths: the 47-value schema
+            # has exactly this many columns for each tuple.
+            values = getattr(self, name)
+            try:
+                length = len(values)
+            except TypeError:
+                raise ConfigurationError(
+                    f"{name} must be a sequence of {len(default)} integers"
+                ) from None
+            if length != len(default):
+                raise ConfigurationError(
+                    f"{name} must have {len(default)} values, got {length}"
+                )
+        if any(window < 1 for window in self.ilp_window_sizes):
+            raise ConfigurationError("ilp_window_sizes must all be >= 1")
         if self.ppm_max_order < 1:
             raise ConfigurationError("ppm_max_order must be >= 1")
         if self.ga_generations < 1 or self.ga_population < 2:

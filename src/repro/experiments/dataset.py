@@ -776,7 +776,6 @@ def build_dataset(
     cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
-    workers: "int | None" = None,
     progress: bool = False,
     strict: bool = True,
     max_attempts: int = 3,
@@ -799,7 +798,6 @@ def build_dataset(
         use_cache: consult/populate the caches.
         jobs: worker-process count (default: ``os.cpu_count()``, capped
             at the benchmark count; 1 runs serially in-process).
-        workers: deprecated alias for ``jobs``.
         progress: print one line per completed benchmark.
         strict: when True (default), raise
             :class:`~repro.errors.DatasetBuildError` — carrying the
@@ -854,7 +852,7 @@ def build_dataset(
             attempts, or (any mode) when *no* benchmark could be built.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, workers,
+        config, benchmarks, cache_dir, use_cache, jobs,
         progress, strict, max_attempts, retry_backoff,
         retry_jitter_seed, deadline, journal, resume=False,
         shards=shards,
@@ -867,7 +865,6 @@ def resume_dataset(
     cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
-    workers: "int | None" = None,
     progress: bool = False,
     strict: bool = True,
     max_attempts: int = 3,
@@ -903,7 +900,7 @@ def resume_dataset(
         DatasetBuildError: as for :func:`build_dataset`.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, workers,
+        config, benchmarks, cache_dir, use_cache, jobs,
         progress, strict, max_attempts, retry_backoff,
         retry_jitter_seed, deadline, journal, resume=True,
         shards=shards,
@@ -916,7 +913,6 @@ def _build_or_resume(
     cache_dir: "Path | str | None",
     use_cache: bool,
     jobs: "int | None",
-    workers: "int | None",
     progress: bool,
     strict: bool,
     max_attempts: int,
@@ -971,8 +967,6 @@ def _build_or_resume(
                entry_cache_dir, shards)
         for name in names
     }
-    if jobs is None:
-        jobs = workers
 
     wal = None
     preloaded: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}

@@ -1,8 +1,10 @@
 """MICA: the paper's 47 microarchitecture-independent characteristics.
 
-Each analyzer module computes one category of Table II;
-:func:`characterize` runs them all and returns the benchmark's
-47-dimensional characteristic vector in Table II order.
+Each analyzer module holds one category of Table II (its scalar
+specification, and for ILP and PPM the vectorized kernels);
+:func:`characterize` runs the segmented engine over the whole trace as
+one interval and returns the benchmark's 47-dimensional characteristic
+vector in Table II order.
 """
 
 from .characteristics import (
@@ -14,7 +16,12 @@ from .characteristics import (
     category_slices,
 )
 from .instruction_mix import instruction_mix
-from .ilp import ilp_ipc, ilp_ipc_reference, producer_indices
+from .ilp import (
+    ilp_ipc,
+    ilp_ipc_reference,
+    producer_indices,
+    segmented_producer_indices,
+)
 from .register_traffic import register_traffic
 from .working_set import working_set
 from .strides import stride_profile
@@ -24,13 +31,8 @@ from .ppm import (
     ppm_predictabilities_reference,
 )
 from .characterize import CharacteristicVector, characterize
-from .segmented import (
-    SECTION_CATEGORIES,
-    segmented_characterize,
-    segmented_producer_indices,
-)
+from .segmented import SECTION_ORDER, segmented_characterize
 from .shard import (
-    SECTION_ORDER,
     ShardState,
     characterize_stream,
     finalize_state,
@@ -60,10 +62,9 @@ __all__ = [
     "ppm_predictabilities_reference",
     "CharacteristicVector",
     "characterize",
-    "SECTION_CATEGORIES",
+    "SECTION_ORDER",
     "segmented_characterize",
     "segmented_producer_indices",
-    "SECTION_ORDER",
     "ShardState",
     "characterize_stream",
     "finalize_state",

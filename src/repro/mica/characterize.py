@@ -1,8 +1,12 @@
 """Full MICA characterization: one trace -> one 47-dimensional vector.
 
-:func:`characterize` runs every analyzer in Table II order and wraps the
-result in a :class:`CharacteristicVector`, which pairs values with the
-schema for readable access and export.
+:func:`characterize` runs the segmented engine
+(:func:`repro.mica.segmented_characterize`) over a single interval that
+spans the whole trace — every Table II section in one pass — and wraps
+the row in a :class:`CharacteristicVector`, which pairs values with the
+schema for readable access and export.  The sharded path
+(``shards=``/``shard_size=``/``jobs=``) runs the shard-mergeable engine
+(:mod:`repro.mica.shard`) instead, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from .characteristics import (
     NUM_CHARACTERISTICS,
     characteristic_by_key,
 )
-from .ilp import ilp_ipc, producer_indices
-from .instruction_mix import instruction_mix
-from .ppm import ppm_predictabilities
-from .register_traffic import register_traffic
-from .strides import stride_profile
-from .working_set import working_set
+from .segmented import segmented_characterize
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def characterize(
             granularities, PPM order).
         shards: when given, characterize through the shard-mergeable
             engine split into this many contiguous shards — bit-for-bit
-            identical to the one-shot path for every geometry.
+            identical to the unsharded path for every geometry.
         shard_size: or split into fixed-size shards of this many rows.
         jobs: worker processes for the intra-trace fan-out (sharded
             path only); ``None``/``<= 1`` streams sequentially.
@@ -116,16 +115,5 @@ def characterize(
         )
     if len(trace) == 0:
         raise CharacterizationError("cannot characterize an empty trace")
-    producers = producer_indices(trace)
-    sections = [
-        instruction_mix(trace),
-        ilp_ipc(trace, config.ilp_window_sizes, producers=producers),
-        register_traffic(
-            trace, config.reg_dep_thresholds, producers=producers
-        ),
-        working_set(trace, config.block_bytes, config.page_bytes),
-        stride_profile(trace, config.stride_thresholds),
-        ppm_predictabilities(trace, config.ppm_max_order),
-    ]
-    values = np.concatenate(sections)
+    values = segmented_characterize(trace, len(trace), config)[0]
     return CharacteristicVector(name=trace.name, values=values)

@@ -9,40 +9,172 @@ consecutive non-overlapping windows of W instructions; each window
 executes in as many cycles as its dataflow critical path; IPC is the
 instruction count divided by the summed critical-path lengths.
 
-Register dataflow is recovered from the trace with
-:func:`producer_indices`, which maps every source operand to the dynamic
-index of the instruction that produced the value (the most recent writer
-of that architected register) — a single key-sorted pass over one
-combined read/write event stream (the retained per-register
-:func:`producer_indices_reference` is its executable specification).
+This module is the single home of the section's kernels, shared by
+every engine:
 
-Two critical-path implementations are provided:
-
-* :func:`window_cycle_counts` — the production path.  Windows of one
-  size are mutually independent, so instead of walking the trace once
-  per window size it walks window-relative *offsets* once (0..max(W)-1)
+* :func:`segmented_producer_indices` — register dataflow recovery: every
+  source operand maps to the dynamic index of the instruction that
+  produced the value (the most recent writer of that architected
+  register *within its interval*), from one radix-grouped pass over the
+  read and write streams.  :func:`producer_indices` is the whole trace
+  as one interval; the retained per-register
+  :func:`producer_indices_reference` is the executable specification.
+* :func:`_segmented_window_cycles` — the critical-path walk of the
+  segmented engine (:mod:`repro.mica.segmented`).  Windows of one size
+  are mutually independent, so instead of walking the trace once per
+  window size it walks window-relative *offsets* once (0..max(W)-1)
   and, at each offset, updates the dataflow depth of that position in
-  **every** window of **every** requested size with array gathers.  A
-  producer always precedes its consumer, so by the time offset ``j`` is
-  processed every in-window producer (offset < ``j``) already has its
-  final depth.
+  **every** window of **every** requested size and interval with array
+  gathers.  A producer always precedes its consumer, so by the time
+  offset ``j`` is processed every in-window producer (offset < ``j``)
+  already has its final depth.  :func:`ilp_ipc` is the whole trace as
+  one interval.
+* :func:`full_window_cycle_counts` — the same offset-major walk over an
+  explicit list of full windows, for the shard engine
+  (:mod:`repro.mica.shard`).
 * :func:`ilp_ipc_reference` — the original per-instruction scalar loop,
   retained as the executable specification for the equivalence tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import operator
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CharacterizationError
 from ..isa import NO_REG
-from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG
+from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
+from .ppm import _stable_key_order
 
 #: Producer index used when a source has no producer in the trace.
 NO_PRODUCER = -1
+
+
+def _full_interval_count(trace: Trace, interval: int) -> Tuple[int, int]:
+    """``(interval, count)``: the integer interval and its full chunks.
+
+    MICA-layer validation for the interval-based entry points: the
+    interval must be an integer (``operator.index``: ``numpy`` integers
+    pass, floats and strings do not), positive, and cover the trace at
+    least once.  Distinct from :func:`repro.phases.interval_count`, the
+    phase layer's shared helper, which raises
+    :class:`~repro.errors.AnalysisError` and additionally requires two
+    intervals.
+
+    Raises:
+        CharacterizationError: on a non-integer or non-positive
+            interval, or a trace shorter than one interval.
+    """
+    try:
+        interval = operator.index(interval)
+    except TypeError:
+        raise CharacterizationError(
+            f"interval must be an integer, got {interval!r}"
+        ) from None
+    if interval <= 0:
+        raise CharacterizationError(
+            f"interval must be positive, got {interval}"
+        )
+    count = len(trace) // interval
+    if count < 1:
+        raise CharacterizationError(
+            f"trace too short: {len(trace)} instructions give no full "
+            f"interval of {interval}"
+        )
+    return interval, count
+
+
+#: Register liveness lookup: absent slots and the hardwired-zero
+#: registers never have a producer.
+_LIVE_SOURCE = np.ones(1 << 8, dtype=bool)
+_LIVE_SOURCE[[NO_REG, INT_ZERO_REG, FP_ZERO_REG]] = False
+
+
+def segmented_producer_indices(
+    trace: Trace, interval: int, count: "int | None" = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-chunk producer recovery over the whole trace in one pass.
+
+    Equivalent to running :func:`producer_indices` on every
+    ``interval``-sized chunk independently, except that the returned
+    producer positions are *global* trace indices (a producer and its
+    consumer always share an interval, so consumer-minus-producer
+    distances match the per-chunk values exactly).  A read whose most
+    recent writer lives in an earlier interval has
+    :data:`NO_PRODUCER`, reproducing the cold register state each chunk
+    starts with.
+
+    Both event streams are grouped by the segmented register —
+    ``interval_id * TOTAL_REGS + register``, one radix pass over the
+    narrow combined domain, never a 64-bit comparison sort — and the
+    writes become an ascending ``group * (n + 1) + position`` key
+    array.  Each read then finds its producer with one vectorized
+    binary search (monotone on both sides, since the reads are grouped
+    identically): the write immediately preceding the read's own key,
+    provided it belongs to the same group.  An instruction's
+    same-register write has exactly the read's key, so
+    ``side="right"`` — inserting equal write keys *after* the read —
+    keeps it invisible to its own reads.
+    """
+    if count is None:
+        interval, count = _full_interval_count(trace, interval)
+    n = count * interval
+    src1 = trace.src1[:n]
+    src2 = trace.src2[:n]
+    dst = trace.dst[:n]
+    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
+    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
+
+    writers = np.flatnonzero(dst != NO_REG)
+    if len(writers) == 0:
+        return producer1, producer2  # No writes: nothing has a producer.
+    domain = count * TOTAL_REGS
+
+    write_groups = (writers // interval) * TOTAL_REGS + dst[
+        writers
+    ].astype(np.int64)
+    write_order = _stable_key_order(write_groups, domain - 1)
+    sorted_writers = writers[write_order]
+    sorted_write_groups = write_groups[write_order]
+    sorted_keys = sorted_write_groups * (n + 1) + sorted_writers
+
+    for source, producer in ((src1, producer1), (src2, producer2)):
+        readers = np.flatnonzero(_LIVE_SOURCE[source])
+        if len(readers) == 0:
+            continue
+        read_groups = (readers // interval) * TOTAL_REGS + source[
+            readers
+        ].astype(np.int64)
+        read_order = _stable_key_order(read_groups, domain - 1)
+        sorted_readers = readers[read_order]
+        sorted_read_groups = read_groups[read_order]
+        # One slot's grouped reads are fully key-ascending (the stable
+        # sort keeps positions ascending within each group), so the
+        # (fewer) writes can be merged into the read stream with one
+        # sorted-query binary search, recovering each read's
+        # preceding-write slot from the insertion histogram.  An
+        # instruction's same-register write shares its own read's key;
+        # ``side="right"`` inserts it after, keeping it invisible.
+        insertions = np.searchsorted(
+            sorted_read_groups * (n + 1) + sorted_readers,
+            sorted_keys,
+            side="right",
+        )
+        slot = np.cumsum(
+            np.bincount(insertions, minlength=len(readers) + 1)[:-1]
+        ) - 1
+        valid = slot >= 0
+        valid &= (
+            sorted_write_groups[np.maximum(slot, 0)] == sorted_read_groups
+        )
+        found = np.where(
+            valid, sorted_writers[np.maximum(slot, 0)], NO_PRODUCER
+        )
+        producer[sorted_readers] = found
+    return producer1, producer2
 
 
 def producer_indices(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
@@ -53,73 +185,13 @@ def producer_indices(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     register, or :data:`NO_PRODUCER` when the slot is empty, reads a
     hardwired-zero register, or reads a register not yet written.
 
-    Single pass: both read slots and the write stream pack into one
-    ``register * (n + 1) + position`` key stream (write keys biased by
-    one half-step so an instruction's own same-register write sorts
-    *after* its reads), and a single key sort merges them — each read's
-    producer is the write immediately preceding it in key order,
-    provided that write sits in the same register's key run.  After
-    biasing, keys collide only when one instruction reads the same
-    register through both slots — interchangeable events — so the
-    (fast) unstable sort is exact.
+    The whole trace as one interval of :func:`segmented_producer_indices`
+    (an empty trace yields empty arrays).
 
     Returns:
         ``(producer1, producer2)`` int64 arrays of the trace length.
     """
-    n = len(trace)
-    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
-    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
-
-    def live_readers(source: np.ndarray) -> np.ndarray:
-        live = (source != NO_REG) & (source != INT_ZERO_REG) & (
-            source != FP_ZERO_REG
-        )
-        return np.flatnonzero(live)
-
-    readers1 = live_readers(trace.src1)
-    readers2 = live_readers(trace.src2)
-    writers = np.flatnonzero(trace.dst != NO_REG)
-    if len(writers) == 0:
-        return producer1, producer2  # No writes: nothing has a producer.
-    base1 = trace.src1[readers1].astype(np.int64) * (n + 1)
-    base2 = trace.src2[readers2].astype(np.int64) * (n + 1)
-    writer_keys = trace.dst[writers].astype(np.int64) * (n + 1) + writers
-    n_reads = len(readers1) + len(readers2)
-    merged = np.concatenate(
-        [
-            (base1 + readers1) * 2,
-            (base2 + readers2) * 2,
-            writer_keys * 2 + 1,
-        ]
-    )
-    order = np.argsort(merged)
-    write_entry = order >= n_reads
-    # For each read, the number of writes sorted before it, minus one:
-    # an index into the key-sorted write stream (-1 = no earlier write).
-    slot = np.cumsum(write_entry) - write_entry - 1
-    write_order = order[write_entry] - n_reads
-    sorted_keys = writer_keys[write_order]
-    sorted_positions = writers[write_order]
-
-    read_entry = ~write_entry
-    read_index = order[read_entry]  # Into the concatenated read streams.
-    read_slot = slot[read_entry]
-    bases = np.concatenate([base1, base2])
-    targets = np.concatenate([readers1, readers2])
-    valid = read_slot >= 0
-    # Same register iff the producing write's key falls in the reader's
-    # register run.
-    valid &= sorted_keys[np.maximum(read_slot, 0)] >= bases[read_index]
-    second = read_index >= len(readers1)
-    keep1 = valid & ~second
-    keep2 = valid & second
-    producer1[targets[read_index[keep1]]] = sorted_positions[
-        read_slot[keep1]
-    ]
-    producer2[targets[read_index[keep2]]] = sorted_positions[
-        read_slot[keep2]
-    ]
-    return producer1, producer2
+    return segmented_producer_indices(trace, len(trace), 1)
 
 
 def producer_indices_reference(
@@ -192,122 +264,189 @@ def _window_critical_paths_reference(
     return total_cycles
 
 
-def window_cycle_counts(
+def _lane_levels(
     producer1: np.ndarray,
     producer2: np.ndarray,
-    window_sizes: Sequence[int],
-) -> List[int]:
-    """Summed per-window critical-path cycles for every window size.
+    lanes: "Sequence[Tuple[np.ndarray, Sequence[Tuple[np.ndarray, int]]]]",
+) -> np.ndarray:
+    """Dataflow depth of every position in every window lane.
 
-    One traversal over window-relative offsets computes the dataflow
-    depth of every instruction for **all** window sizes: at offset ``j``
-    the instructions ``starts + j`` (one per window) gather their
-    producers' already-final depths, zeroing producers outside their own
-    window.  Per-window critical paths then fall out of a segmented max.
+    The offset-major walk shared by both window engines.  Each lane (one
+    per window size) is ``(owner, pieces)``: ``owner[p]`` is the start
+    of the window holding position ``p``, and ``pieces`` lists
+    ``(window starts, length)`` groups of windows holding ``length``
+    instructions.  All lanes share one *flat* level space — lane ``j``
+    owns ``[j*n, (j+1)*n)`` — so every offset updates every window of
+    every size in one set of array operations (a per-(offset, size)
+    loop pays several times the work in numpy call overhead on small
+    traces).  A producer outside its consumer's window (including
+    :data:`NO_PRODUCER`) is redirected to a sentinel cell pinned at
+    level 0, so the hot loop is pure gather/max/scatter with no
+    per-offset window-membership test.  Positions no window covers keep
+    depth 1.
 
     Returns:
-        Total cycles per entry of ``window_sizes`` (same order).
+        The flat ``len(lanes) * n + 1`` int32 level array (last cell:
+        the sentinel).
     """
     n = len(producer1)
+    sentinel = len(lanes) * n
+    # A depth never exceeds its window size, so int32 holds it; the
+    # halved footprint of this randomly gathered array is what keeps
+    # large traces cache-friendly.
+    level_flat = np.ones(sentinel + 1, dtype=np.int32)
+    level_flat[sentinel] = 0
+    pieces = []  # (flat window starts, window length)
+    producer_flat = np.empty((2, sentinel), dtype=np.int64)
+    for lane, (owner, lane_pieces) in enumerate(lanes):
+        base = lane * n
+        pieces.extend(
+            (starts + base, length) for starts, length in lane_pieces
+        )
+        for row, producer in enumerate((producer1, producer2)):
+            target = producer_flat[row, base : base + n]
+            np.add(producer, base, out=target)
+            target[producer < owner] = sentinel
+    if not pieces:
+        return level_flat
+    producer1_flat, producer2_flat = producer_flat
+
+    # Offsets walk in segments over which the set of windows still
+    # holding an instruction does not change.
+    last_offset = max(length for _, length in pieces)
+    boundaries = sorted(
+        {length for _, length in pieces if length < last_offset}
+    )
+    segment_edges = [1] + boundaries + [last_offset]
+    for segment_start, segment_end in zip(
+        segment_edges[:-1], segment_edges[1:]
+    ):
+        if segment_end <= segment_start:
+            continue
+        indices = np.concatenate(
+            [flat for flat, length in pieces if length > segment_start]
+        ) + segment_start
+        for _ in range(segment_start, segment_end):
+            depth = np.maximum(
+                level_flat[producer1_flat[indices]],
+                level_flat[producer2_flat[indices]],
+            )
+            depth += 1
+            level_flat[indices] = depth
+            indices += 1
+    return level_flat
+
+
+def _remainder(values: np.ndarray, size: int) -> np.ndarray:
+    """``values % size`` — one bitwise AND for a power-of-two size."""
+    if size & (size - 1) == 0:
+        return values & (size - 1)
+    return values % size
+
+
+def _segmented_window_cycles(
+    producer1: np.ndarray,
+    producer2: np.ndarray,
+    count: int,
+    interval: int,
+    window_sizes: Sequence[int],
+) -> Dict[int, np.ndarray]:
+    """Per-interval summed critical-path cycles for every window size.
+
+    Windows partition each interval from its own start (so every
+    interval ends with a short window when ``interval % W != 0``),
+    reproducing the window alignment a per-chunk run would see.  One
+    offset-major traversal (:func:`_lane_levels`) updates all intervals
+    and all window sizes at once; per-window critical paths fall out of
+    a segmented max and are then summed within each interval.
+    """
+    n = count * interval
     unique_sizes = sorted({int(window) for window in window_sizes})
-    levels: Dict[int, np.ndarray] = {}
-    starts: Dict[int, np.ndarray] = {}
     for window in unique_sizes:
-        # Offset-0 instructions have no in-window producer: depth 1.
-        levels[window] = np.ones(n, dtype=np.int64)
-        starts[window] = np.arange(0, n, window, dtype=np.int64)
+        if window < 1:
+            raise CharacterizationError(f"invalid window size: {window}")
+    interval_base = np.arange(count, dtype=np.int64) * interval
+    offset_in_interval = np.arange(n, dtype=np.int64) % interval
+    positions = np.arange(n, dtype=np.int64)
 
-    for offset in range(1, max(unique_sizes, default=1)):
-        for window in unique_sizes:
-            if offset >= window:
-                continue
-            window_starts = starts[window]
-            # starts are ascending, so the windows still holding an
-            # instruction at this offset form a prefix.
-            count = int(
-                np.searchsorted(window_starts, n - offset, side="left")
-            )
-            if count == 0:
-                continue
-            window_starts = window_starts[:count]
-            indices = window_starts + offset
-            level = levels[window]
-            gather1 = producer1[indices]
-            gather2 = producer2[indices]
-            depth1 = np.where(
-                gather1 >= window_starts, level[gather1], 0
-            )
-            depth2 = np.where(
-                gather2 >= window_starts, level[gather2], 0
-            )
-            level[indices] = np.maximum(depth1, depth2) + 1
+    starts_all: Dict[int, np.ndarray] = {}
+    lanes = []
+    for window in unique_sizes:
+        full = interval // window
+        trailing = interval % window
+        per_interval = full + (1 if trailing else 0)
+        within = np.arange(per_interval, dtype=np.int64) * window
+        starts = (interval_base[:, None] + within[None, :]).ravel()
+        starts_all[window] = starts
+        if trailing:
+            grid = starts.reshape(count, per_interval)
+            # Full-width windows hold an instruction at every offset
+            # below the window size; each interval's trailing short
+            # window runs out of instructions at the remainder offset.
+            pieces = [(grid[:, full:].ravel(), trailing)]
+            if full:
+                pieces.insert(0, (grid[:, :full].ravel(), window))
+        else:
+            pieces = [(starts, window)]
+        lanes.append(
+            (positions - _remainder(offset_in_interval, window), pieces)
+        )
+    level_flat = _lane_levels(producer1, producer2, lanes)
 
-    cycles = {
-        window: int(np.maximum.reduceat(levels[window], starts[window]).sum())
-        for window in unique_sizes
-    }
-    return [cycles[int(window)] for window in window_sizes]
+    cycles: Dict[int, np.ndarray] = {}
+    for lane, window in enumerate(unique_sizes):
+        starts = starts_all[window]
+        per_window = np.maximum.reduceat(
+            level_flat[lane * n : (lane + 1) * n], starts
+        )
+        cycles[window] = per_window.reshape(
+            count, len(starts) // count
+        ).sum(axis=1)
+    return cycles
 
 
 def full_window_cycle_counts(
     producer1: np.ndarray,
     producer2: np.ndarray,
     starts_by_size: "Dict[int, np.ndarray]",
-    n: "int | None" = None,
 ) -> "Dict[int, int]":
     """Summed critical-path cycles over explicitly listed *full* windows.
 
-    The shard engine's generalization of :func:`window_cycle_counts`:
+    The shard engine's variant of :func:`_segmented_window_cycles`:
     instead of tiling ``[0, n)`` it is handed, per window size, the
-    ascending local start positions of the windows to close — each
-    guaranteed full (``start + size <= n``), which is exactly the set of
-    globally-aligned windows falling entirely inside one shard.  Same
-    offset-major traversal, but with every window full no prefix
-    trimming is needed.
+    ascending, back-to-back local start positions of the windows to
+    close — each guaranteed full (``start + size <= n``), which is
+    exactly the set of globally-aligned windows falling entirely inside
+    one shard.  Same offset-major traversal (:func:`_lane_levels`); with
+    every window full no trailing pieces are needed.
 
     Returns:
         ``{size: total cycles}`` (0 for a size with no listed windows).
     """
-    if n is None:
-        n = len(producer1)
+    n = len(producer1)
     normalized = {
         int(size): np.asarray(starts, dtype=np.int64)
         for size, starts in starts_by_size.items()
     }
-    sizes = sorted(normalized)
-    levels: Dict[int, np.ndarray] = {}
-    active: List[int] = []
-    for size in sizes:
-        if len(normalized[size]):
-            levels[size] = np.ones(n, dtype=np.int64)
-            active.append(size)
-    for offset in range(1, max(active, default=1)):
-        for size in active:
-            if offset >= size:
-                continue
-            window_starts = normalized[size]
-            indices = window_starts + offset
-            level = levels[size]
-            gather1 = producer1[indices]
-            gather2 = producer2[indices]
-            depth1 = np.where(
-                gather1 >= window_starts, level[gather1], 0
-            )
-            depth2 = np.where(
-                gather2 >= window_starts, level[gather2], 0
-            )
-            level[indices] = np.maximum(depth1, depth2) + 1
-    cycles: Dict[int, int] = {}
-    for size in sizes:
+    active = [size for size in sorted(normalized) if len(normalized[size])]
+    positions = np.arange(n, dtype=np.int64)
+    lanes = []
+    for size in active:
         starts = normalized[size]
-        if len(starts) == 0:
-            cycles[size] = 0
-            continue
-        # Same-size aligned windows are contiguous, so reduceat segments
-        # are exactly the windows; trailing rows past the last window
-        # keep their init depth of 1 and cannot raise a window max.
+        # Back-to-back windows: the owning start is periodic from the
+        # first (positions outside every window are never walked).
+        owner = positions - _remainder(positions - starts[0], size)
+        lanes.append((owner, [(starts, size)]))
+    level_flat = _lane_levels(producer1, producer2, lanes)
+    cycles = {size: 0 for size in normalized}
+    for lane, size in enumerate(active):
+        # Same-size windows are contiguous, so reduceat segments are
+        # exactly the windows; trailing rows past the last window keep
+        # their init depth of 1 and cannot raise a window max.
         cycles[size] = int(
-            np.maximum.reduceat(levels[size], starts).sum()
+            np.maximum.reduceat(
+                level_flat[lane * n : (lane + 1) * n], normalized[size]
+            ).sum()
         )
     return cycles
 
@@ -323,19 +462,17 @@ def _validate_ilp_inputs(trace: Trace, window_sizes: Sequence[int]) -> None:
 def ilp_ipc(
     trace: Trace,
     window_sizes: Sequence[int] = (32, 64, 128, 256),
-    producers: "Tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Idealized-processor IPC for each window size.
 
-    Vectorized: all window sizes are computed from one offset-major
-    traversal (see :func:`window_cycle_counts`), producing exactly the
-    same cycle counts as :func:`ilp_ipc_reference`.
+    The whole trace as one interval of the segmented window walk
+    (:func:`_segmented_window_cycles` over :func:`producer_indices`):
+    every window size in one offset-major traversal, producing exactly
+    the cycle counts of :func:`ilp_ipc_reference`.
 
     Args:
         trace: the dynamic instruction trace.
         window_sizes: instruction-window sizes (paper: 32/64/128/256).
-        producers: precomputed :func:`producer_indices` result (shared
-            with register-traffic analysis to avoid recomputation).
 
     Returns:
         IPC value per window size, same order as ``window_sizes``.
@@ -344,15 +481,15 @@ def ilp_ipc(
         CharacterizationError: for an empty trace or bad window size.
     """
     _validate_ilp_inputs(trace, window_sizes)
-    if producers is None:
-        producers = producer_indices(trace)
-    producer1, producer2 = producers
+    producer1, producer2 = producer_indices(trace)
     n = len(trace)
-    cycle_counts = window_cycle_counts(producer1, producer2, window_sizes)
-    result = np.empty(len(window_sizes), dtype=float)
-    for position, cycles in enumerate(cycle_counts):
-        result[position] = n / cycles if cycles else 0.0
-    return result
+    cycles = _segmented_window_cycles(
+        producer1, producer2, 1, n, window_sizes
+    )
+    return np.array(
+        [n / int(cycles[int(window)][0]) for window in window_sizes],
+        dtype=float,
+    )
 
 
 def ilp_ipc_reference(

@@ -14,6 +14,16 @@ from ..errors import CharacterizationError
 from ..isa import OpClass
 from ..trace import Trace
 
+#: Opclass codes of the six mix fractions, in Table II order.
+MIX_CLASSES = [
+    int(OpClass.LOAD),
+    int(OpClass.STORE),
+    int(OpClass.BRANCH),
+    int(OpClass.INT_ALU),
+    int(OpClass.INT_MUL),
+    int(OpClass.FP),
+]
+
 
 def instruction_mix(trace: Trace) -> np.ndarray:
     """The six instruction-mix fractions, in Table II order.
@@ -29,14 +39,4 @@ def instruction_mix(trace: Trace) -> np.ndarray:
     if len(trace) == 0:
         raise CharacterizationError("cannot compute mix of an empty trace")
     counts = np.bincount(trace.opclass, minlength=len(OpClass))
-    total = float(len(trace))
-    return np.array(
-        [
-            counts[int(OpClass.LOAD)] / total,
-            counts[int(OpClass.STORE)] / total,
-            counts[int(OpClass.BRANCH)] / total,
-            counts[int(OpClass.INT_ALU)] / total,
-            counts[int(OpClass.INT_MUL)] / total,
-            counts[int(OpClass.FP)] / total,
-        ]
-    )
+    return counts[MIX_CLASSES] / float(len(trace))

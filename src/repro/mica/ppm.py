@@ -25,14 +25,19 @@ PAs    per-branch local   separate tables per branch (PC)
 
 Two implementations are provided:
 
-* :func:`ppm_predictabilities` — the production path.  It never walks
-  the branch stream in Python.  The key observation is that PPM's
-  context histories depend only on *actual* branch outcomes (never on
-  predictions), so every (table key, context) pair each branch consults
-  can be materialized up front as a packed integer key stream shared by
-  all four variants, and the count-table state any branch observes is
-  simply the number of earlier occurrences of its key with each
-  outcome — a grouped exclusive prefix sum.
+* the vectorized engine (:func:`_interval_accuracies`), which never
+  walks the branch stream in Python.  The key observation is that
+  PPM's context histories depend only on *actual* branch outcomes
+  (never on predictions), so every (table key, context) pair each
+  branch consults can be materialized up front as a packed integer key
+  stream shared by all four variants, and the count-table state any
+  branch observes is simply the number of earlier occurrences of its
+  key with each outcome — a grouped exclusive prefix sum.  It computes
+  per-interval accuracies for the segmented engine
+  (:mod:`repro.mica.segmented`); :func:`ppm_predictabilities` is the
+  whole stream as one interval, and the shard engine
+  (:mod:`repro.mica.shard`) reuses its history, count and cascade
+  kernels with carried table state.
 * :func:`ppm_predictabilities_reference` — the original scalar
   predictor loop, retained as the executable specification that the
   equivalence tests check the vectorized path against.
@@ -40,7 +45,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -158,6 +163,24 @@ class PPMPredictor:
 # -- vectorized engine ----------------------------------------------------
 
 
+def _stable_key_order(
+    keys: np.ndarray, ceiling: "int | None" = None
+) -> np.ndarray:
+    """Stable sort order of non-negative integer ``keys``.
+
+    Keys below ``1 << 16`` take one radix pass (numpy's stable sort is a
+    radix sort for <= 16-bit integers — an order of magnitude faster
+    than the 64-bit merge sort); wider keys fall back to the merge sort.
+    ``ceiling`` is an upper bound on the keys when the caller knows one
+    (default: their maximum).
+    """
+    if ceiling is None:
+        ceiling = int(keys.max()) if len(keys) else 0
+    if ceiling < (1 << 16):
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
 def _grouped_history(
     bits: np.ndarray, group_keys: np.ndarray, max_order: int
 ) -> np.ndarray:
@@ -166,16 +189,12 @@ def _grouped_history(
     Bit ``k-1`` of the history at entry ``t`` is the outcome of the
     ``k``-th most recent earlier entry *of the same group*, matching a
     shift register that is private to each group and starts at zero.
-    Grouping by PC yields the per-branch local histories; the segmented
-    engine (:mod:`repro.mica.segmented`) additionally folds the interval
-    id into the group key so histories restart at interval boundaries.
+    Grouping by PC yields the per-branch local histories; grouping by
+    dense (interval, PC) pair ranks also restarts them at interval
+    boundaries.
     """
     n = len(bits)
-    # Narrow keys radix-sort (numpy's stable sort for <= 16-bit ints);
-    # wide keys (e.g. raw PCs) take the 64-bit merge sort.
-    if n and int(group_keys.max()) < (1 << 16):
-        group_keys = group_keys.astype(np.uint16)
-    order = np.argsort(group_keys, kind="stable")
+    order = _stable_key_order(group_keys)
     sorted_bits = bits[order]
     sorted_keys = group_keys[order]
     new_group = np.ones(n, dtype=bool)
@@ -198,6 +217,30 @@ def _grouped_history(
     return history
 
 
+def _global_history(
+    bits: np.ndarray,
+    max_order: int,
+    interval_ids: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """Global history bits seen by each branch.
+
+    Bit ``k-1`` of the history at branch ``t`` is the outcome of the
+    ``k``-th most recent prior branch, matching the shift-register
+    update of :class:`PPMPredictor`.  With ``interval_ids`` (ascending),
+    a bit is kept only when both branches share an interval, so the
+    register restarts at zero at every interval boundary — a masked
+    shift-OR, with no grouping sort.
+    """
+    n = len(bits)
+    history = np.zeros(n, dtype=np.uint64)
+    for k in range(1, min(max_order, n - 1) + 1):
+        shifted = bits[:-k] << np.uint64(k - 1)
+        if interval_ids is not None:
+            shifted[interval_ids[k:] != interval_ids[:-k]] = 0
+        history[k:] |= shifted
+    return history
+
+
 def _history_streams(
     pcs: np.ndarray, outcomes: np.ndarray, max_order: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,22 +248,13 @@ def _history_streams(
 
     Bit ``k-1`` of the history at branch ``t`` is the outcome of the
     ``k``-th most recent prior branch (of any PC for the global stream,
-    of the same PC for the local stream), matching the shift-register
-    update of :class:`PPMPredictor`.
+    of the same PC for the local stream).
     """
-    n = len(outcomes)
     bits = outcomes.astype(np.uint64)
-    global_history = np.zeros(n, dtype=np.uint64)
-    for k in range(1, max_order + 1):
-        if k >= n:
-            break
-        global_history[k:] |= bits[:-k] << np.uint64(k - 1)
-
-    # Local histories: group the stream by PC (stable sort keeps time
-    # order within each group) and apply the same shifted-OR trick
-    # without crossing group boundaries.
-    local_history = _grouped_history(bits, pcs, max_order)
-    return global_history, local_history
+    return (
+        _global_history(bits, max_order),
+        _grouped_history(bits, pcs, max_order),
+    )
 
 
 def _prior_outcome_counts(
@@ -236,13 +270,9 @@ def _prior_outcome_counts(
         ``(taken_before, not_taken_before)`` int64 arrays.
     """
     n = len(keys)
-    # numpy's stable sort is a radix sort for <= 16-bit integers, several
-    # times faster than the 64-bit merge sort; key domains here are tiny
-    # (contexts, or dense PC ranks times contexts), so narrow when we can.
-    key_ceiling = int(keys.max()) if n else 0
-    if key_ceiling < (1 << 16):
-        keys = keys.astype(np.uint16)
-    order = np.argsort(keys, kind="stable")
+    # Key domains here are tiny (contexts, or dense PC ranks times
+    # contexts), so this is usually the radix pass.
+    order = _stable_key_order(keys)
     sorted_keys = keys[order]
     sorted_taken = outcomes[order].astype(np.int64)
 
@@ -262,48 +292,157 @@ def _prior_outcome_counts(
     return taken_before, not_taken_before
 
 
-def _variant_predictions(
-    history: np.ndarray,
-    pc_keys: "np.ndarray | None",
-    outcomes: np.ndarray,
+def _cascade(
+    prior_counts: "Callable[[int], Tuple[np.ndarray, np.ndarray]]",
     max_order: int,
-    order0_counts,
-    segment_keys: "np.ndarray | None" = None,
+    n: int,
 ) -> np.ndarray:
-    """Per-branch predictions for one variant, fully vectorized.
+    """Per-branch predictions of one variant, fully vectorized.
 
     Walks orders longest-first exactly like :meth:`PPMPredictor._predict`
     (unseen and tied contexts both escape; the cold default predicts
     taken), deciding each branch at the first informative order.
-
-    ``order0_counts()`` supplies the order-0 table state, which ignores
-    history and is therefore shared by both variants of a table scheme.
-    ``segment_keys`` (when given) is OR-ed above every context key so the
-    segmented engine can restart the count tables per interval.
+    ``prior_counts(order)`` supplies ``(taken_before, not_taken_before)``
+    — the count-table entry each branch observes at that order.
     """
-    n = len(outcomes)
     prediction = np.ones(n, dtype=bool)
     undecided = np.ones(n, dtype=bool)
     for order in range(max_order, -1, -1):
         if not undecided.any():
             break
-        if order == 0:
-            taken_before, not_taken_before = order0_counts()
-        else:
-            keys = history & np.uint64((1 << order) - 1)
-            if pc_keys is not None:
-                keys = keys | pc_keys
-            if segment_keys is not None:
-                keys = keys | segment_keys
-            taken_before, not_taken_before = _prior_outcome_counts(
-                keys, outcomes
-            )
+        taken_before, not_taken_before = prior_counts(order)
         informative = undecided & (taken_before != not_taken_before)
         prediction[informative] = (
             taken_before[informative] > not_taken_before[informative]
         )
         undecided &= ~informative
     return prediction
+
+
+def _interval_accuracies(
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    interval_ids: np.ndarray,
+    count: int,
+    max_order: int,
+    wanted: np.ndarray,
+) -> np.ndarray:
+    """Per-interval accuracies of the wanted variants, ``(count, 4)``.
+
+    ``pcs``/``outcomes`` are the branch stream and ``interval_ids``
+    (ascending) each branch's interval; count tables *and* shift
+    registers restart at every interval boundary, exactly as if each
+    interval ran through fresh predictors.  The interval id is packed
+    above the (PC rank, context) keys, the histories never cross a
+    boundary, and the escape cascade runs once over the whole stream.
+    A single interval (``count == 1``) skips the segmenting work.
+
+    The four variants are independent predictors; only the wanted ones
+    run — ``ppm_GAg`` alone needs neither the per-PC machinery (dense
+    ranks, local histories) nor the other variants' count recoveries.
+    Unwanted columns are ``NaN``; intervals without branches read 0.
+    """
+    result = np.full((count, len(VARIANTS)), np.nan)
+    result[:, wanted] = 0.0
+    n = len(outcomes)
+    if n == 0:
+        return result
+    segmented = count > 1
+    branch_counts = np.bincount(interval_ids, minlength=count)
+    bits = outcomes.astype(np.uint64)
+    need_global = any(
+        wanted[position] and use_global
+        for position, (_, use_global, _shared) in enumerate(VARIANTS)
+    )
+    need_pairs = any(
+        wanted[position] and not (use_global and shared)
+        for position, (_, use_global, shared) in enumerate(VARIANTS)
+    )
+
+    global_history = (
+        _global_history(
+            bits, max_order, interval_ids if segmented else None
+        )
+        if need_global
+        else None
+    )
+    pair_ranks = pair_keys = local_history = None
+    if need_pairs:
+        # A per-interval per-PC table (or local shift register) is
+        # identified by the (interval, PC) *pair*; dense pair ranks
+        # keep every packed key domain as narrow as possible (so the
+        # radix fast path of the count recovery stays reachable), with
+        # the rank packed above the (<= max_order) context bits.
+        _, pc_ids = np.unique(pcs, return_inverse=True)
+        pair_ranks = pc_ids
+        if segmented:
+            num_pcs = int(pc_ids.max()) + 1
+            _, pair_ranks = np.unique(
+                interval_ids * np.int64(num_pcs) + pc_ids,
+                return_inverse=True,
+            )
+        local_history = _grouped_history(bits, pair_ranks, max_order)
+        pair_keys = (
+            pair_ranks.astype(np.uint64) + np.uint64(1)
+        ) << np.uint64(max_order)
+    segment_keys = (
+        interval_ids.astype(np.uint64) << np.uint64(max_order)
+        if segmented
+        else None
+    )
+
+    # Order-0 contexts ignore history, so their table state is shared
+    # by the G/P variants of each table scheme.  The shared table needs
+    # no sort: its counts are running totals minus each interval's
+    # starting prefix.
+    order0_cache: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def order0_counts(shared_table: bool):
+        counts = order0_cache.get(shared_table)
+        if counts is None:
+            if shared_table:
+                exclusive = np.cumsum(outcomes) - outcomes
+                first = (np.cumsum(branch_counts) - branch_counts)[
+                    interval_ids
+                ]
+                taken_before = exclusive - exclusive[first]
+                not_taken_before = (
+                    np.arange(n, dtype=np.int64) - first - taken_before
+                )
+                counts = (taken_before, not_taken_before)
+            else:
+                counts = _prior_outcome_counts(pair_ranks, outcomes)
+            order0_cache[shared_table] = counts
+        return counts
+
+    for position, (_, use_global, shared_table) in enumerate(VARIANTS):
+        if not wanted[position]:
+            continue
+        history = global_history if use_global else local_history
+        table_keys = segment_keys if shared_table else pair_keys
+
+        def prior_counts(
+            order, history=history, table_keys=table_keys,
+            shared_table=shared_table,
+        ):
+            if order == 0:
+                return order0_counts(shared_table)
+            keys = history & np.uint64((1 << order) - 1)
+            if table_keys is not None:
+                keys = keys | table_keys
+            return _prior_outcome_counts(keys, outcomes)
+
+        prediction = _cascade(prior_counts, max_order, n)
+        correct = np.bincount(
+            interval_ids[prediction == outcomes], minlength=count
+        )
+        result[:, position] = np.divide(
+            correct,
+            branch_counts,
+            out=np.zeros(count),
+            where=branch_counts > 0,
+        )
+    return result
 
 
 def ppm_predictabilities_reference(
@@ -342,12 +481,10 @@ def ppm_predictabilities_reference(
 def ppm_predictabilities(trace: Trace, max_order: int = 4) -> np.ndarray:
     """Accuracies of the four PPM variants, in Table II order.
 
-    Single-pass vectorized implementation: the global and local history
-    streams are materialized once, each (variant, order) context is
-    packed into one integer key per branch, and the count-table state a
-    branch would observe is recovered with grouped exclusive prefix
-    sums — no per-branch Python loop.  Produces bit-identical values to
-    :func:`ppm_predictabilities_reference`.
+    The whole branch stream as one interval of the vectorized engine
+    (:func:`_interval_accuracies`): no per-branch Python loop, and
+    bit-identical values to :func:`ppm_predictabilities_reference`,
+    which also serves orders beyond :data:`MAX_VECTOR_ORDER`.
 
     Traces without branches yield zeros for all four characteristics.
     """
@@ -359,47 +496,12 @@ def ppm_predictabilities(trace: Trace, max_order: int = 4) -> np.ndarray:
         raise CharacterizationError("max_order must be >= 1")
     if max_order > MAX_VECTOR_ORDER:
         return ppm_predictabilities_reference(trace, max_order)
-
-    pcs = trace.branch_pcs
     outcomes = trace.branch_outcomes
-    n = len(outcomes)
-    if n == 0:
-        return np.zeros(len(VARIANTS))
-
-    global_history, local_history = _history_streams(pcs, outcomes, max_order)
-    # Dense PC ranks, packed above the (<= max_order) context bits so a
-    # (table key, context) pair is one uint64 for every order at once.
-    _, pc_ids = np.unique(pcs, return_inverse=True)
-    pc_keys = (pc_ids.astype(np.uint64) + np.uint64(1)) << np.uint64(max_order)
-
-    # Order-0 contexts ignore history, so their table state is shared
-    # by the G/P variants of each table scheme; the single shared table
-    # needs no sort at all (its counts are global running totals).
-    order0_cache: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def order0_counts(shared_table: bool):
-        counts = order0_cache.get(shared_table)
-        if counts is None:
-            if shared_table:
-                taken_before = np.cumsum(outcomes) - outcomes
-                not_taken_before = (
-                    np.arange(n, dtype=np.int64) - taken_before
-                )
-                counts = (taken_before, not_taken_before)
-            else:
-                counts = _prior_outcome_counts(pc_keys, outcomes)
-            order0_cache[shared_table] = counts
-        return counts
-
-    accuracies = np.empty(len(VARIANTS), dtype=float)
-    for position, (_, use_global, shared_table) in enumerate(VARIANTS):
-        history = global_history if use_global else local_history
-        prediction = _variant_predictions(
-            history,
-            None if shared_table else pc_keys,
-            outcomes,
-            max_order,
-            lambda shared=shared_table: order0_counts(shared),
-        )
-        accuracies[position] = int((prediction == outcomes).sum()) / n
-    return accuracies
+    return _interval_accuracies(
+        trace.branch_pcs,
+        outcomes,
+        np.zeros(len(outcomes), dtype=np.int64),
+        1,
+        max_order,
+        np.ones(len(VARIANTS), dtype=bool),
+    )[0]

@@ -36,8 +36,10 @@ def register_traffic(
         thresholds: cumulative dependency-distance bounds; the first is
             reported as an equality (``distance = 1``), matching the
             paper.
-        producers: precomputed :func:`repro.mica.producer_indices`
-            result, to share work with the ILP analyzer.
+        producers: precomputed ``(producer1, producer2)`` arrays, as
+            :func:`repro.mica.producer_indices` or its specification
+            :func:`repro.mica.ilp.producer_indices_reference` return
+            them (default: :func:`repro.mica.producer_indices`).
 
     Returns:
         ``[avg input operands, avg degree of use,

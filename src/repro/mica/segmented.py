@@ -2,14 +2,14 @@
 
 :func:`segmented_characterize` computes Table II characteristic
 *sections* for every fixed-length interval of a trace in one pass over
-the full column arrays — the within-run analogue of
-:func:`repro.mica.characterize`, which summarizes a whole program.  Row
-``i`` of the result is bit-identical to
-``characterize(trace[i * interval : (i + 1) * interval], config).values``
-for every requested section, without ever slicing the trace: the
-per-chunk loop that used to back :func:`repro.phases.mica_timeline` is
-retained there as ``mica_timeline_reference``, the executable
-specification this engine is pinned against.
+the full column arrays.  It is the library's one Table II engine:
+:func:`repro.mica.characterize` is this engine over a single interval
+spanning the whole trace, and :func:`repro.phases.mica_timeline` runs it
+over many.  Row ``i`` of the result is bit-identical to characterizing
+``trace[i * interval : (i + 1) * interval]`` on its own, for every
+requested section, without ever slicing the trace: the per-chunk loop
+``repro.phases.mica_timeline_reference`` and the scalar ``*_reference``
+specifications pin it.
 
 The per-chunk semantics that must be reproduced exactly are *state
 restarts* at interval boundaries: producer tracking, PPM count tables
@@ -21,23 +21,32 @@ analyzer family gets there differently:
   opclass and address streams are keyed by interval id and reduced with
   ``bincount`` / lexsorted group-boundary counting; stride adjacency
   masks drop pairs that straddle an interval boundary.
-* **ILP / register traffic** — :func:`segmented_producer_indices` packs
-  the interval id *above* the architected register number in the
-  producer key stream, so a write in one interval is invisible to reads
+* **ILP / register traffic** —
+  :func:`~repro.mica.ilp.segmented_producer_indices` packs the interval
+  id *above* the architected register number in the producer key
+  stream, so a write in one interval is invisible to reads
   in the next (exactly a per-chunk producer restart); ILP windows are
   generated per interval (including the short trailing window of each
   chunk when ``interval % W != 0``) and walked offset-major once for
-  all intervals and window sizes together.
-* **PPM** — the interval id is packed above the existing
-  (PC rank, context) keys of the vectorized predictor and the
-  global/local history streams are grouped by (interval) and
-  (interval, PC), so tables *and* shift registers restart per chunk;
-  the escape cascade then runs once over the whole branch stream.
+  all intervals and window sizes together
+  (:func:`~repro.mica.ilp._segmented_window_cycles`).
+* **PPM** — :func:`~repro.mica.ppm._interval_accuracies` packs the
+  interval id above the (PC rank, context) keys of the vectorized
+  predictor and keeps the global/local history streams from crossing
+  an interval boundary, so tables *and* shift registers restart per
+  chunk; the escape cascade then runs once over the whole branch
+  stream.
+
+The section kernels of ILP and PPM live in their own modules
+(:mod:`repro.mica.ilp`, :mod:`repro.mica.ppm`), next to their scalar
+specifications; this module holds the driver, the wanted-mask
+resolution shared with the shard engine, and the other four sections.
 
 All per-interval values end as exact integer-count ratios divided in
 IEEE double precision, which is why bit-for-bit equality with the
 per-chunk loop is achievable and asserted
-(``tests/test_phases_segmented_equivalence.py``).
+(``tests/test_phases_segmented_equivalence.py``,
+``tests/test_mica_engine_one_interval.py``).
 """
 
 from __future__ import annotations
@@ -49,48 +58,71 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CharacterizationError
 from ..isa import NO_REG, OpClass
-from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
 from .characteristics import NUM_CHARACTERISTICS, category_slices
-from .ilp import NO_PRODUCER
+from .ilp import (
+    NO_PRODUCER,
+    _full_interval_count,
+    _segmented_window_cycles,
+    segmented_producer_indices,
+)
+from .instruction_mix import MIX_CLASSES
 from .ppm import (
     MAX_VECTOR_ORDER,
     VARIANTS,
-    _grouped_history,
-    _prior_outcome_counts,
-    _variant_predictions,
-    ppm_predictabilities,
+    _interval_accuracies,
+    ppm_predictabilities_reference,
 )
+from .working_set import _granularity_shift
+
+_SLICES = category_slices()
 
 #: The six Table II section names, in schema order.  ``categories``
 #: arguments are validated against this tuple.
-SECTION_CATEGORIES: Tuple[str, ...] = tuple(category_slices())
+SECTION_ORDER: Tuple[str, ...] = tuple(_SLICES)
 
 
-def _full_interval_count(trace: Trace, interval: int) -> int:
-    """Number of full ``interval``-sized chunks in ``trace``.
+def resolve_wanted(
+    categories: "Optional[Iterable[str]]" = None,
+    indices: "Optional[Iterable[int]]" = None,
+) -> np.ndarray:
+    """The 47-entry mask of the characteristics a request asks for.
 
-    MICA-layer validation for the segmented entry points: the interval
-    must be positive and cover the trace at least once.  Distinct from
-    :func:`repro.phases.interval_count`, the phase layer's shared
-    helper, which raises :class:`~repro.errors.AnalysisError` and
-    additionally requires two intervals.
+    Everything is wanted when neither argument is given; otherwise the
+    union of the named Table II categories and the 0-based indices.
 
     Raises:
-        CharacterizationError: on ``interval <= 0`` or a trace shorter
-            than one interval.
+        CharacterizationError: unknown category name or out-of-range
+            characteristic index.
     """
-    if interval <= 0:
-        raise CharacterizationError(
-            f"interval must be positive, got {interval}"
-        )
-    count = len(trace) // interval
-    if count < 1:
-        raise CharacterizationError(
-            f"trace too short: {len(trace)} instructions give no full "
-            f"interval of {interval}"
-        )
-    return count
+    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
+    if categories is None and indices is None:
+        wanted[:] = True
+        return wanted
+    if categories is not None:
+        categories = tuple(categories)
+        unknown = set(categories) - set(SECTION_ORDER)
+        if unknown:
+            raise CharacterizationError(
+                f"unknown Table II categories: {sorted(unknown)}"
+            )
+        for category in categories:
+            wanted[_SLICES[category]] = True
+    if indices is not None:
+        for index in indices:
+            if not 0 <= int(index) < NUM_CHARACTERISTICS:
+                raise CharacterizationError(
+                    f"characteristic index out of range: {index}"
+                )
+            wanted[int(index)] = True
+    return wanted
+
+
+def wanted_sections(wanted: np.ndarray) -> Tuple[str, ...]:
+    """The Table II categories a wanted mask touches, in vector order."""
+    return tuple(
+        name for name in SECTION_ORDER if wanted[_SLICES[name]].any()
+    )
 
 
 class _SegmentedContext:
@@ -148,108 +180,6 @@ class _SegmentedContext:
         )
 
 
-#: Register liveness lookup: absent slots and the hardwired-zero
-#: registers never have a producer.
-_LIVE_SOURCE = np.ones(1 << 8, dtype=bool)
-_LIVE_SOURCE[[NO_REG, INT_ZERO_REG, FP_ZERO_REG]] = False
-
-
-def _grouped_order(group_ids: np.ndarray, domain: int) -> np.ndarray:
-    """Stable sort order by group id.
-
-    Narrow domains take one radix pass (numpy's stable sort is a radix
-    sort for <= 16-bit integers — an order of magnitude faster than the
-    64-bit merge sort); wide domains fall back to the merge sort.
-    """
-    if domain <= (1 << 16):
-        return np.argsort(group_ids.astype(np.uint16), kind="stable")
-    return np.argsort(group_ids, kind="stable")
-
-
-def segmented_producer_indices(
-    trace: Trace, interval: int, count: "int | None" = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-chunk producer recovery over the whole trace in one pass.
-
-    Equivalent to running :func:`repro.mica.producer_indices` on every
-    ``interval``-sized chunk independently, except that the returned
-    producer positions are *global* trace indices (a producer and its
-    consumer always share an interval, so consumer-minus-producer
-    distances match the per-chunk values exactly).  A read whose most
-    recent writer lives in an earlier interval has
-    :data:`~repro.mica.ilp.NO_PRODUCER`, reproducing the cold register
-    state each chunk starts with.
-
-    Both event streams are grouped by the segmented register —
-    ``interval_id * TOTAL_REGS + register``, one radix pass over the
-    narrow combined domain, never a 64-bit comparison sort — and the
-    writes become an ascending ``group * (n + 1) + position`` key
-    array.  Each read then finds its producer with one vectorized
-    binary search (monotone on both sides, since the reads are grouped
-    identically): the write immediately preceding the read's own key,
-    provided it belongs to the same group.  An instruction's
-    same-register write has exactly the read's key, so
-    ``side="right"`` — inserting equal write keys *after* the read —
-    keeps it invisible to its own reads.
-    """
-    if count is None:
-        count = _full_interval_count(trace, interval)
-    n = count * interval
-    src1 = trace.src1[:n]
-    src2 = trace.src2[:n]
-    dst = trace.dst[:n]
-    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
-    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
-
-    writers = np.flatnonzero(dst != NO_REG)
-    if len(writers) == 0:
-        return producer1, producer2  # No writes: nothing has a producer.
-    domain = count * TOTAL_REGS
-
-    write_groups = (writers // interval) * TOTAL_REGS + dst[
-        writers
-    ].astype(np.int64)
-    write_order = _grouped_order(write_groups, domain)
-    sorted_writers = writers[write_order]
-    sorted_write_groups = write_groups[write_order]
-    sorted_keys = sorted_write_groups * (n + 1) + sorted_writers
-
-    for source, producer in ((src1, producer1), (src2, producer2)):
-        readers = np.flatnonzero(_LIVE_SOURCE[source])
-        if len(readers) == 0:
-            continue
-        read_groups = (readers // interval) * TOTAL_REGS + source[
-            readers
-        ].astype(np.int64)
-        read_order = _grouped_order(read_groups, domain)
-        sorted_readers = readers[read_order]
-        sorted_read_groups = read_groups[read_order]
-        # One slot's grouped reads are fully key-ascending (the stable
-        # sort keeps positions ascending within each group), so the
-        # (fewer) writes can be merged into the read stream with one
-        # sorted-query binary search, recovering each read's
-        # preceding-write slot from the insertion histogram.  An
-        # instruction's same-register write shares its own read's key;
-        # ``side="right"`` inserts it after, keeping it invisible.
-        insertions = np.searchsorted(
-            sorted_read_groups * (n + 1) + sorted_readers,
-            sorted_keys,
-            side="right",
-        )
-        slot = np.cumsum(
-            np.bincount(insertions, minlength=len(readers) + 1)[:-1]
-        ) - 1
-        valid = slot >= 0
-        valid &= (
-            sorted_write_groups[np.maximum(slot, 0)] == sorted_read_groups
-        )
-        found = np.where(
-            valid, sorted_writers[np.maximum(slot, 0)], NO_PRODUCER
-        )
-        producer[sorted_readers] = found
-    return producer1, producer2
-
-
 # -- section engines ------------------------------------------------------
 
 
@@ -260,121 +190,7 @@ def _segmented_mix(ctx: _SegmentedContext) -> np.ndarray:
     counts = np.bincount(
         keys, minlength=ctx.count * len(OpClass)
     ).reshape(ctx.count, len(OpClass))
-    order = [
-        int(OpClass.LOAD),
-        int(OpClass.STORE),
-        int(OpClass.BRANCH),
-        int(OpClass.INT_ALU),
-        int(OpClass.INT_MUL),
-        int(OpClass.FP),
-    ]
-    return counts[:, order] / float(ctx.interval)
-
-
-def _segmented_window_cycles(
-    producer1: np.ndarray,
-    producer2: np.ndarray,
-    count: int,
-    interval: int,
-    window_sizes: Sequence[int],
-) -> Dict[int, np.ndarray]:
-    """Per-interval summed critical-path cycles for every window size.
-
-    Windows partition each interval from its own start (so every
-    interval ends with a short window when ``interval % W != 0``),
-    reproducing the window alignment a per-chunk run would see.  One
-    offset-major traversal updates all intervals and all window sizes
-    at once; per-window critical paths fall out of a segmented max and
-    are then summed within each interval.
-    """
-    n = count * interval
-    unique_sizes = sorted({int(window) for window in window_sizes})
-    for window in unique_sizes:
-        if window < 1:
-            raise CharacterizationError(f"invalid window size: {window}")
-    interval_base = np.arange(count, dtype=np.int64) * interval
-
-    # All window sizes share one *flat* level space of ``S`` size-lanes
-    # of ``n`` entries each, so every offset updates every size in one
-    # set of array operations (the per-(offset, size) loop of the
-    # whole-trace engine pays ~2x its work in numpy call overhead).
-    # Lane ``j`` owns [j*n, (j+1)*n); a producer outside its consumer's
-    # window (including NO_PRODUCER and cross-interval producers, which
-    # the segmented producer arrays already exclude) is redirected to a
-    # sentinel cell pinned at level 0, so the hot loop is pure
-    # gather/max/scatter with no per-offset window-membership test.
-    lanes = len(unique_sizes)
-    sentinel = lanes * n
-    level_flat = np.ones(lanes * n + 1, dtype=np.int64)
-    level_flat[sentinel] = 0
-    offset_in_interval = np.arange(n, dtype=np.int64) % interval
-    positions = np.arange(n, dtype=np.int64)
-
-    starts_all: Dict[int, np.ndarray] = {}
-    pieces = []  # (flat window starts, first inactive offset)
-    producer_lanes = []
-    for lane, window in enumerate(unique_sizes):
-        full = interval // window
-        trailing = interval % window
-        per_interval = full + (1 if trailing else 0)
-        within = np.arange(per_interval, dtype=np.int64) * window
-        starts = (interval_base[:, None] + within[None, :]).ravel()
-        starts_all[window] = starts
-        base = lane * n
-        if trailing:
-            grid = starts.reshape(count, per_interval)
-            if full:
-                # Full-width windows: an instruction exists at every
-                # offset below the window size.
-                pieces.append((grid[:, :full].ravel() + base, window))
-            # Trailing short windows: each interval's last window runs
-            # out of instructions at the remainder offset.
-            pieces.append((grid[:, full:].ravel() + base, trailing))
-        else:
-            pieces.append((starts + base, window))
-        if window & (window - 1) == 0:
-            # Power-of-two window: the remainder is one bitwise AND.
-            remainder = offset_in_interval & (window - 1)
-        else:
-            remainder = offset_in_interval % window
-        window_starts = positions - remainder
-        producer_lanes.append(tuple(
-            np.where(producer >= window_starts, producer + base, sentinel)
-            for producer in (producer1, producer2)
-        ))
-    producer1_flat = np.concatenate([lane[0] for lane in producer_lanes])
-    producer2_flat = np.concatenate([lane[1] for lane in producer_lanes])
-
-    last_offset = min(max(unique_sizes, default=1), interval)
-    boundaries = sorted({limit for _, limit in pieces if limit < last_offset})
-    segment_edges = [1] + boundaries + [last_offset]
-    for segment_start, segment_end in zip(
-        segment_edges[:-1], segment_edges[1:]
-    ):
-        if segment_end <= segment_start:
-            continue
-        indices = np.concatenate(
-            [flat for flat, limit in pieces if limit > segment_start]
-        ) + segment_start
-        for _ in range(segment_start, segment_end):
-            depth = np.maximum(
-                level_flat[producer1_flat[indices]],
-                level_flat[producer2_flat[indices]],
-            )
-            depth += 1
-            level_flat[indices] = depth
-            indices += 1
-
-    cycles: Dict[int, np.ndarray] = {}
-    for lane, window in enumerate(unique_sizes):
-        starts = starts_all[window]
-        per_window = np.maximum.reduceat(
-            level_flat[lane * n : (lane + 1) * n], starts
-        )
-        cycles[window] = per_window.reshape(
-            count, len(starts) // count
-        ).sum(axis=1)
-    return cycles
+    return counts[:, MIX_CLASSES] / float(ctx.interval)
 
 
 def _segmented_ilp(
@@ -502,15 +318,6 @@ def _segmented_register_traffic(
         where=total_pairs[:, None] > 0,
     )
     return result
-
-
-def _granularity_shift(granularity: int) -> np.uint64:
-    shift = int(granularity).bit_length() - 1
-    if granularity != (1 << shift):
-        raise CharacterizationError(
-            f"granularity must be a power of two, got {granularity}"
-        )
-    return np.uint64(shift)
 
 
 #: Presence-table budget for the dense unique-count path (cells).
@@ -683,7 +490,7 @@ def _segmented_ppm_reference(
 ) -> np.ndarray:
     """Per-chunk fallback for key widths the packed engine cannot hold."""
     rows = [
-        ppm_predictabilities(
+        ppm_predictabilities_reference(
             ctx.trace[start : start + ctx.interval], max_order
         )
         for start in ctx.interval_starts
@@ -696,10 +503,9 @@ def _segmented_ppm(
 ) -> np.ndarray:
     """Per-interval PPM accuracies, shape ``(count, 4)``.
 
-    The four variants are independent predictors; only the requested
-    ones run — ``ppm_GAg`` alone needs neither the per-PC machinery
-    (dense ranks, local histories) nor the other variants' count
-    recoveries.  Unrequested columns stay ``NaN``.
+    Only the requested variants run (see
+    :func:`repro.mica.ppm._interval_accuracies`); unrequested columns
+    stay ``NaN``.
     """
     if max_order < 1:
         raise CharacterizationError("max_order must be >= 1")
@@ -708,88 +514,15 @@ def _segmented_ppm(
         reference = _segmented_ppm_reference(ctx, max_order)
         result[:, wanted] = reference[:, wanted]
         return result
-
-    branch_mask = ctx.trace.branch_mask[: ctx.n]
-    branch_positions = np.flatnonzero(branch_mask)
-    result = np.full((ctx.count, len(VARIANTS)), np.nan)
-    result[:, wanted] = 0.0
-    n_branches = len(branch_positions)
-    if n_branches == 0:
-        return result
-
-    outcomes = ctx.column("taken")[branch_positions].astype(bool)
-    interval_ids = ctx.interval_index[branch_positions]
-    branch_counts = np.bincount(interval_ids, minlength=ctx.count)
-    bits = outcomes.astype(np.uint64)
-    interval64 = interval_ids.astype(np.uint64)
-
-    need_global = any(
-        wanted[position] and use_global
-        for position, (_, use_global, _shared) in enumerate(VARIANTS)
+    branch_positions = np.flatnonzero(ctx.trace.branch_mask[: ctx.n])
+    return _interval_accuracies(
+        ctx.column("pc")[branch_positions],
+        ctx.column("taken")[branch_positions].astype(bool),
+        ctx.interval_index[branch_positions],
+        ctx.count,
+        max_order,
+        wanted,
     )
-    need_pairs = any(
-        wanted[position] and not (use_global and shared)
-        for position, (_, use_global, shared) in enumerate(VARIANTS)
-    )
-
-    # Segmented histories: shift registers restart per interval (and,
-    # for the local stream, are private to each (interval, PC) pair).
-    global_history = (
-        _grouped_history(bits, interval_ids, max_order)
-        if need_global
-        else None
-    )
-    pair_keys = local_history = None
-    if need_pairs:
-        # A per-chunk per-PC table (or local shift register) is
-        # identified by the (interval, PC) *pair*; dense pair ranks
-        # keep every packed key domain as narrow as possible (so the
-        # radix fast path of the count recovery stays reachable).
-        pcs = ctx.column("pc")[branch_positions]
-        _, pc_ids = np.unique(pcs, return_inverse=True)
-        num_pcs = int(pc_ids.max()) + 1
-        _, pair_ranks = np.unique(
-            interval_ids * np.int64(num_pcs) + pc_ids,
-            return_inverse=True,
-        )
-        local_history = _grouped_history(bits, pair_ranks, max_order)
-        pair_keys = (
-            pair_ranks.astype(np.uint64) + np.uint64(1)
-        ) << np.uint64(max_order)
-
-    segment_shared = interval64 << np.uint64(max_order)
-    order0_cache: Dict[bool, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def order0_counts(shared_table: bool):
-        counts = order0_cache.get(shared_table)
-        if counts is None:
-            keys = interval64 if shared_table else pair_ranks
-            counts = _prior_outcome_counts(keys, outcomes)
-            order0_cache[shared_table] = counts
-        return counts
-
-    for position, (_, use_global, shared_table) in enumerate(VARIANTS):
-        if not wanted[position]:
-            continue
-        history = global_history if use_global else local_history
-        prediction = _variant_predictions(
-            history,
-            None if shared_table else pair_keys,
-            outcomes,
-            max_order,
-            lambda shared=shared_table: order0_counts(shared),
-            segment_keys=segment_shared if shared_table else None,
-        )
-        correct = np.bincount(
-            interval_ids[prediction == outcomes], minlength=ctx.count
-        )
-        result[:, position] = np.divide(
-            correct,
-            branch_counts,
-            out=np.zeros(ctx.count),
-            where=branch_counts > 0,
-        )
-    return result
 
 
 # -- driver ---------------------------------------------------------------
@@ -829,58 +562,38 @@ def segmented_characterize(
         values too.
 
     Raises:
-        CharacterizationError: on ``interval <= 0``, a trace shorter
-            than one interval, an unknown category name, or an
-            out-of-range index.
+        CharacterizationError: on a non-integer or non-positive
+            interval, a trace shorter than one interval, an unknown
+            category name, or an out-of-range index.
     """
-    count = _full_interval_count(trace, interval)
-    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
-    slices = category_slices()
-    if categories is None and indices is None:
-        wanted[:] = True
-    else:
-        if categories is not None:
-            unknown = set(categories) - set(SECTION_CATEGORIES)
-            if unknown:
-                raise CharacterizationError(
-                    f"unknown Table II categories: {sorted(unknown)}"
-                )
-            for category in categories:
-                wanted[slices[category]] = True
-        if indices is not None:
-            for index in indices:
-                if not 0 <= int(index) < NUM_CHARACTERISTICS:
-                    raise CharacterizationError(
-                        f"characteristic index out of range: {index}"
-                    )
-                wanted[int(index)] = True
-
+    interval, count = _full_interval_count(trace, interval)
+    wanted = resolve_wanted(categories, indices)
     values = np.full((count, NUM_CHARACTERISTICS), np.nan)
     ctx = _SegmentedContext(trace, interval, count)
-    mix_slice = slices["instruction mix"]
+    mix_slice = _SLICES["instruction mix"]
     if wanted[mix_slice].any():
         values[:, mix_slice] = _segmented_mix(ctx)
-    ilp_slice = slices["ILP"]
+    ilp_slice = _SLICES["ILP"]
     if wanted[ilp_slice].any():
         values[:, ilp_slice] = _segmented_ilp(
             ctx, config.ilp_window_sizes, wanted[ilp_slice]
         )
-    reg_slice = slices["register traffic"]
+    reg_slice = _SLICES["register traffic"]
     if wanted[reg_slice].any():
         values[:, reg_slice] = _segmented_register_traffic(
             ctx, config.reg_dep_thresholds
         )
-    ws_slice = slices["working set size"]
+    ws_slice = _SLICES["working set size"]
     if wanted[ws_slice].any():
         values[:, ws_slice] = _segmented_working_set(
             ctx, config.block_bytes, config.page_bytes, wanted[ws_slice]
         )
-    stride_slice = slices["data stream strides"]
+    stride_slice = _SLICES["data stream strides"]
     if wanted[stride_slice].any():
         values[:, stride_slice] = _segmented_strides(
             ctx, config.stride_thresholds, wanted[stride_slice]
         )
-    ppm_slice = slices["branch predictability"]
+    ppm_slice = _SLICES["branch predictability"]
     if wanted[ppm_slice].any():
         values[:, ppm_slice] = _segmented_ppm(
             ctx, config.ppm_max_order, wanted[ppm_slice]

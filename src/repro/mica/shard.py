@@ -5,8 +5,9 @@ Every Table II section's partial state over a contiguous trace range
 :func:`shard_state` characterizes one chunk in isolation,
 :func:`merge_states` combines the states of two adjacent ranges, and
 :func:`finalize_state` turns a rooted (``start == 0``) state into the
-47-dim vector — **bit-for-bit** identical to one-shot
-:func:`repro.mica.characterize` for every shard geometry, because every
+47-dim vector — **bit-for-bit** identical to unsharded
+:func:`repro.mica.characterize` (the segmented engine over one
+interval) for every shard geometry, because every
 characteristic is an exact integer-count ratio divided once in IEEE
 doubles and integer sums below 2**53 are exact in any order.
 
@@ -17,7 +18,7 @@ Per-section carry design (what crosses a shard boundary):
 * **strides** — per-stream threshold counts plus a global first/last
   address carry and per-PC first/last tables; merging emits exactly the
   boundary deltas (global: one per stream; local: one per PC present on
-  both sides), so pair counts telescope to the one-shot totals.
+  both sides), so pair counts telescope to the whole-trace totals.
 * **register traffic** — additive counts, a per-register last-writer
   table (absolute positions), and an *orphan* list of live reads with
   no in-range producer; merging resolves the right side's orphans
@@ -29,7 +30,7 @@ Per-section carry design (what crosses a shard boundary):
   (:func:`~repro.mica.ilp.full_window_cycle_counts`) and carries just
   the raw first/last ``max(W) - 1`` operand rows; a merge closes at
   most one straddling window per size with a tiny scalar walk, and
-  finalization closes the trailing partial window the one-shot engine
+  finalization closes the trailing partial window a whole-trace walk
   counts.
 * **PPM** — the one section with a sequential dependence.  The *cold*
   mergeable state holds the global/per-PC history shift registers,
@@ -41,7 +42,14 @@ Per-section carry design (what crosses a shard boundary):
   carry-dependent *predictions* are a second pass per shard
   (:func:`ppm_shard_correct`) that seeds the in-shard history streams
   from a rooted incoming prefix state and adds its count tables to the
-  in-shard prior counts — reusing the one-shot vectorized kernels.
+  in-shard prior counts — reusing the history, count-recovery and
+  escape-cascade kernels of the vectorized PPM engine
+  (:mod:`repro.mica.ppm`).
+
+The shard engine is the *merge* engine only: unsharded and per-interval
+characterization both run on the segmented engine
+(:mod:`repro.mica.segmented`), and the wanted-mask resolution and
+section order come from there.
 
 The drivers (sequential streaming fold and the two-round parallel
 scheduler in :mod:`repro.perf.sharding`) are thin compositions of these
@@ -61,16 +69,18 @@ from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
 from .characteristics import NUM_CHARACTERISTICS, category_slices
 from .ilp import NO_PRODUCER, full_window_cycle_counts, producer_indices
+from .instruction_mix import MIX_CLASSES
 from .ppm import (
     MAX_VECTOR_ORDER,
     VARIANTS,
+    _cascade,
     _history_streams,
     _prior_outcome_counts,
+    _stable_key_order,
 )
-
-#: Table II categories in vector order; a state's ``sections`` tuple is
-#: a subset of these (the sections it actually carries).
-SECTION_ORDER: Tuple[str, ...] = tuple(category_slices())
+from .segmented import SECTION_ORDER, resolve_wanted, wanted_sections
+from .strides import _global_strides, _local_strides, _threshold_counts
+from .working_set import _granularity_shift
 
 _SLICES = category_slices()
 _MIX_SLICE = _SLICES["instruction mix"]
@@ -81,45 +91,6 @@ _STRIDE_SLICE = _SLICES["data stream strides"]
 _PPM_SLICE = _SLICES["branch predictability"]
 
 _U64_ONE = np.uint64(1)
-
-
-def resolve_wanted(
-    categories: "Optional[Sequence[str]]" = None,
-    indices: "Optional[Sequence[int]]" = None,
-) -> np.ndarray:
-    """The 47-entry wanted mask, mirroring ``segmented_characterize``.
-
-    Raises:
-        CharacterizationError: unknown category name or out-of-range
-            characteristic index.
-    """
-    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
-    if categories is None and indices is None:
-        wanted[:] = True
-        return wanted
-    if categories is not None:
-        unknown = set(categories) - set(SECTION_ORDER)
-        if unknown:
-            raise CharacterizationError(
-                f"unknown Table II categories: {sorted(unknown)}"
-            )
-        for category in categories:
-            wanted[_SLICES[category]] = True
-    if indices is not None:
-        for index in indices:
-            if not 0 <= int(index) < NUM_CHARACTERISTICS:
-                raise CharacterizationError(
-                    f"characteristic index out of range: {index}"
-                )
-            wanted[int(index)] = True
-    return wanted
-
-
-def wanted_sections(wanted: np.ndarray) -> Tuple[str, ...]:
-    """The Table II categories a wanted mask touches, in vector order."""
-    return tuple(
-        name for name in SECTION_ORDER if wanted[_SLICES[name]].any()
-    )
 
 
 # -- small shared helpers -------------------------------------------------
@@ -198,30 +169,10 @@ class MixState:
         return MixState(a.counts + b.counts)
 
     def finalize(self, n: int) -> np.ndarray:
-        total = float(n)
-        counts = self.counts
-        return np.array(
-            [
-                counts[int(OpClass.LOAD)] / total,
-                counts[int(OpClass.STORE)] / total,
-                counts[int(OpClass.BRANCH)] / total,
-                counts[int(OpClass.INT_ALU)] / total,
-                counts[int(OpClass.INT_MUL)] / total,
-                counts[int(OpClass.FP)] / total,
-            ]
-        )
+        return self.counts[MIX_CLASSES] / float(n)
 
 
 # -- working set ----------------------------------------------------------
-
-
-def _granularity_shift(granularity: int) -> np.uint64:
-    shift = int(granularity).bit_length() - 1
-    if granularity != (1 << shift):
-        raise CharacterizationError(
-            f"granularity must be a power of two, got {granularity}"
-        )
-    return np.uint64(shift)
 
 
 @dataclass
@@ -279,19 +230,6 @@ _STRIDE_STREAMS = (
 )
 
 
-def _stride_threshold_counts(
-    deltas: np.ndarray, thresholds: Sequence[int]
-) -> np.ndarray:
-    """``count(|delta| <= t)`` per threshold (t = 0 is an equality)."""
-    counts = np.zeros(len(thresholds), dtype=np.int64)
-    if len(deltas) == 0:
-        return counts
-    magnitudes = np.abs(deltas.astype(np.int64))
-    for position, threshold in enumerate(thresholds):
-        counts[position] = int((magnitudes <= threshold).sum())
-    return counts
-
-
 def _pc_first_last(
     pcs: np.ndarray, addresses: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,19 +252,6 @@ def _pc_first_last(
     )
 
 
-def _in_shard_local_strides(
-    pcs: np.ndarray, addresses: np.ndarray
-) -> np.ndarray:
-    """Same-PC consecutive deltas inside one shard (int64)."""
-    if len(addresses) < 2:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(pcs, kind="stable")
-    sorted_pcs = pcs[order]
-    sorted_addresses = addresses[order].astype(np.int64)
-    deltas = np.diff(sorted_addresses)
-    return deltas[sorted_pcs[1:] == sorted_pcs[:-1]]
-
-
 @dataclass
 class StrideState:
     """Stride threshold counts plus boundary carries per access kind.
@@ -334,7 +259,7 @@ class StrideState:
     ``counts``/``pairs`` are indexed by :data:`_STRIDE_STREAMS`;
     ``global_*`` carries are per kind (0 = load, 1 = store), addresses
     stored int64-cast so boundary deltas wrap exactly like the
-    one-shot ``np.diff(addresses.astype(np.int64))``.
+    whole-trace ``np.diff(addresses.astype(np.int64))``.
     """
 
     counts: np.ndarray  # (4, thresholds) int64
@@ -365,16 +290,13 @@ class StrideState:
         local_first: "List[np.ndarray]" = []
         local_last: "List[np.ndarray]" = []
         for kind, (pcs, addresses) in enumerate(streams):
-            local_deltas = _in_shard_local_strides(pcs, addresses)
-            counts[2 * kind] = _stride_threshold_counts(
+            local_deltas = _local_strides(pcs, addresses)
+            counts[2 * kind] = _threshold_counts(
                 local_deltas, thresholds
             )
             pairs[2 * kind] = len(local_deltas)
-            if len(addresses) >= 2:
-                global_deltas = np.diff(addresses.astype(np.int64))
-            else:
-                global_deltas = np.empty(0, dtype=np.int64)
-            counts[2 * kind + 1] = _stride_threshold_counts(
+            global_deltas = _global_strides(addresses)
+            counts[2 * kind + 1] = _threshold_counts(
                 global_deltas, thresholds
             )
             pairs[2 * kind + 1] = len(global_deltas)
@@ -417,7 +339,7 @@ class StrideState:
                     b.global_first[kind:kind + 1]
                     - a.global_last[kind:kind + 1]
                 )
-                counts[2 * kind + 1] += _stride_threshold_counts(
+                counts[2 * kind + 1] += _threshold_counts(
                     delta, thresholds
                 )
                 pairs[2 * kind + 1] += 1
@@ -430,7 +352,7 @@ class StrideState:
                     b.local_first[kind][found]
                     - a.local_last[kind][positions[found]]
                 )
-                counts[2 * kind] += _stride_threshold_counts(
+                counts[2 * kind] += _threshold_counts(
                     deltas, thresholds
                 )
                 pairs[2 * kind] += int(found.sum())
@@ -670,7 +592,7 @@ class IlpState:
                 + window * np.arange(count, dtype=np.int64)
             )
         closed = full_window_cycle_counts(
-            producers[0], producers[1], starts_by_size, n=n
+            producers[0], producers[1], starts_by_size
         )
         cycles = np.array(
             [closed[window] for window in sizes], dtype=np.int64
@@ -750,21 +672,40 @@ def _empty_table() -> CountTable:
     )
 
 
+def _table_pcs(
+    pcs: np.ndarray, shared: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted unique table PCs, rank of each entry)`` for one batch.
+
+    Shared-table variants key every entry by pc = 0.  Computed once per
+    batch and reused by all of its context orders.
+    """
+    if shared:
+        return (
+            np.zeros(1, dtype=np.uint64),
+            np.zeros(len(pcs), dtype=np.int64),
+        )
+    return np.unique(pcs.astype(np.uint64), return_inverse=True)
+
+
 def _aggregate_table(
-    pcs: np.ndarray,
+    table_pcs: Tuple[np.ndarray, np.ndarray],
     ctxs: np.ndarray,
     outcomes: np.ndarray,
     max_order: int,
 ) -> CountTable:
-    """Count-table rows for one batch of (pc, ctx, outcome) updates."""
+    """Count-table rows for one batch of (pc, ctx, outcome) updates.
+
+    ``table_pcs`` is the batch's :func:`_table_pcs`.
+    """
     count = len(outcomes)
     if count == 0:
         return _empty_table()
-    unique_pcs, ids = np.unique(pcs, return_inverse=True)
+    unique_pcs, ids = table_pcs
     packed = (
         ids.astype(np.uint64) << np.uint64(max_order)
     ) | ctxs.astype(np.uint64)
-    order = np.argsort(packed, kind="stable")
+    order = _stable_key_order(packed)
     sorted_packed = packed[order]
     sorted_outcomes = outcomes[order].astype(np.int64)
     new_group = np.ones(count, dtype=bool)
@@ -971,17 +912,13 @@ def _ppm_cold(
         resolved = resolved_global if use_global else resolved_local
         selected_history = history[resolved]
         selected_outcomes = outcomes[resolved]
-        selected_pcs = (
-            np.zeros(int(resolved.sum()), dtype=np.uint64)
-            if shared
-            else pcs[resolved].astype(np.uint64)
-        )
+        table_pcs = _table_pcs(pcs[resolved], shared)
         for order_length in range(max_order + 1):
             context = selected_history & np.uint64(
                 (1 << order_length) - 1
             )
             state.tables[(name, order_length)] = _aggregate_table(
-                selected_pcs, context, selected_outcomes, max_order
+                table_pcs, context, selected_outcomes, max_order
             )
     if start == 0:
         _root_resolve(state)
@@ -999,19 +936,10 @@ def _add_resolved(
     if len(outcomes) == 0:
         return
     max_order = state.max_order
-    family = [
-        name
-        for name, variant_global, _ in VARIANTS
-        if variant_global == use_global
-    ]
-    shared_by_name = {
-        name: shared
-        for name, variant_global, shared in VARIANTS
-        if variant_global == use_global
-    }
-    zeros = np.zeros(len(outcomes), dtype=np.uint64)
-    for name in family:
-        table_pcs = zeros if shared_by_name[name] else pcs
+    for name, variant_global, shared in VARIANTS:
+        if variant_global != use_global:
+            continue
+        table_pcs = _table_pcs(pcs, shared)
         for order_length in range(max_order + 1):
             context = histories & np.uint64((1 << order_length) - 1)
             contribution = _aggregate_table(
@@ -1162,7 +1090,7 @@ def ppm_shard_correct(
     ``[0, start)`` (fully resolved: no deferred branches).  The
     in-shard history streams are seeded from its shift registers, and
     its count tables supply the prior counts of prefix branches, so
-    each branch sees exactly the table state of the one-shot predictor.
+    each branch sees exactly the table state of an unsharded predictor.
     """
     if len(carry.deferred_global[1]) or len(carry.deferred_local[1]):
         raise CharacterizationError(
@@ -1217,59 +1145,45 @@ def ppm_shard_correct(
     )
     per_pc_order0: "Optional[Tuple[np.ndarray, np.ndarray]]" = None
 
+    def order0_per_pc(name: str) -> Tuple[np.ndarray, np.ndarray]:
+        nonlocal per_pc_order0
+        if per_pc_order0 is None:
+            in_taken, in_not = _prior_outcome_counts(pc_keys, outcomes)
+            inc_not, inc_taken = _table_lookup(
+                carry.tables[(name, 0)],
+                branch_pcs_u64,
+                zero_ctx,
+                max_order,
+            )
+            per_pc_order0 = (in_taken + inc_taken, in_not + inc_not)
+        return per_pc_order0
+
     for variant_index, (name, use_global, shared) in enumerate(
         VARIANTS
     ):
         history = global_history if use_global else local_history
-        prediction = np.ones(count, dtype=bool)
-        undecided = np.ones(count, dtype=bool)
-        for order_length in range(max_order, -1, -1):
-            if not undecided.any():
-                break
+
+        def prior_counts(
+            order_length, name=name, history=history, shared=shared
+        ):
             if order_length == 0:
                 if shared:
-                    taken_before = shared_taken
-                    not_taken_before = shared_not_taken
-                else:
-                    if per_pc_order0 is None:
-                        in_taken, in_not = _prior_outcome_counts(
-                            pc_keys, outcomes
-                        )
-                        inc_not, inc_taken = _table_lookup(
-                            carry.tables[(name, 0)],
-                            branch_pcs_u64,
-                            zero_ctx,
-                            max_order,
-                        )
-                        per_pc_order0 = (
-                            in_taken + inc_taken,
-                            in_not + inc_not,
-                        )
-                    taken_before, not_taken_before = per_pc_order0
-            else:
-                context = history & np.uint64(
-                    (1 << order_length) - 1
-                )
-                keys = context if shared else context | pc_keys
-                taken_before, not_taken_before = (
-                    _prior_outcome_counts(keys, outcomes)
-                )
-                inc_not, inc_taken = _table_lookup(
-                    carry.tables[(name, order_length)],
-                    zero_pcs if shared else branch_pcs_u64,
-                    context,
-                    max_order,
-                )
-                taken_before = taken_before + inc_taken
-                not_taken_before = not_taken_before + inc_not
-            informative = undecided & (
-                taken_before != not_taken_before
+                    return shared_taken, shared_not_taken
+                return order0_per_pc(name)
+            context = history & np.uint64((1 << order_length) - 1)
+            keys = context if shared else context | pc_keys
+            taken_before, not_taken_before = _prior_outcome_counts(
+                keys, outcomes
             )
-            prediction[informative] = (
-                taken_before[informative]
-                > not_taken_before[informative]
+            inc_not, inc_taken = _table_lookup(
+                carry.tables[(name, order_length)],
+                zero_pcs if shared else branch_pcs_u64,
+                context,
+                max_order,
             )
-            undecided &= ~informative
+            return taken_before + inc_taken, not_taken_before + inc_not
+
+        prediction = _cascade(prior_counts, max_order, count)
         correct[variant_index] = int(
             (prediction == outcomes).sum()
         )
@@ -1310,7 +1224,8 @@ def shard_state(
         chunk: the rows of ``[start, start + len(chunk))``.
         start: the chunk's absolute position in the full trace.
         config: the :class:`~repro.config.ReproConfig` in effect.
-        wanted: optional 47-entry mask (:func:`resolve_wanted`);
+        wanted: optional 47-entry mask
+            (:func:`~repro.mica.segmented.resolve_wanted`);
             unrequested sections are skipped entirely.
 
     Raises:
@@ -1410,7 +1325,7 @@ def finalize_state(
     ``ppm_correct`` is the summed per-variant correct-prediction count
     from :func:`ppm_shard_correct` (None when the PPM section was not
     requested).  Unrequested entries are NaN; requested entries are
-    bit-identical to one-shot :func:`~repro.mica.characterize`.
+    bit-identical to :func:`~repro.mica.characterize`.
     """
     if not state.rooted:
         raise CharacterizationError(

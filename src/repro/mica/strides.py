@@ -27,18 +27,24 @@ from ..trace import Trace
 DEFAULT_THRESHOLDS = (0, 8, 64, 512, 4096)
 
 
+def _threshold_counts(
+    deltas: np.ndarray, thresholds: Sequence[int]
+) -> np.ndarray:
+    """``count(|delta| <= t)`` per threshold (``t = 0`` is an equality)."""
+    magnitudes = np.abs(deltas.astype(np.int64))
+    return np.array(
+        [int((magnitudes <= threshold).sum()) for threshold in thresholds],
+        dtype=np.int64,
+    )
+
+
 def _cumulative_profile(
     strides: np.ndarray, thresholds: Sequence[int]
 ) -> np.ndarray:
     """``P(|stride| <= t)`` per threshold (``t = 0`` is an equality)."""
-    result = np.zeros(len(thresholds), dtype=float)
     if len(strides) == 0:
-        return result
-    magnitudes = np.abs(strides.astype(np.int64))
-    total = float(len(magnitudes))
-    for position, threshold in enumerate(thresholds):
-        result[position] = float((magnitudes <= threshold).sum()) / total
-    return result
+        return np.zeros(len(thresholds), dtype=float)
+    return _threshold_counts(strides, thresholds) / float(len(strides))
 
 
 def _local_strides(pcs: np.ndarray, addresses: np.ndarray) -> np.ndarray:

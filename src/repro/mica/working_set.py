@@ -14,15 +14,24 @@ from ..errors import CharacterizationError
 from ..trace import Trace
 
 
-def _unique_count(addresses: np.ndarray, granularity: int) -> int:
-    if len(addresses) == 0:
-        return 0
+def _granularity_shift(granularity: int) -> np.uint64:
+    """Address shift turning byte addresses into ``granularity`` ids.
+
+    Raises:
+        CharacterizationError: for a granularity that is not a positive
+            power of two.
+    """
     shift = int(granularity).bit_length() - 1
-    if granularity != (1 << shift):
+    if granularity < 1 or granularity != (1 << shift):
         raise CharacterizationError(
             f"granularity must be a power of two, got {granularity}"
         )
-    return int(len(np.unique(addresses >> np.uint64(shift))))
+    return np.uint64(shift)
+
+
+def _unique_count(addresses: np.ndarray, granularity: int) -> int:
+    shift = _granularity_shift(granularity)
+    return int(len(np.unique(addresses >> shift)))
 
 
 def working_set(

@@ -24,8 +24,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: Schema tag stamped into every history row.
-HISTORY_SCHEMA = "BENCH_history/v1"
+#: Schema tag stamped into every history row.  v2 rows come from
+#: ``BENCH_mica/v7`` runs, whose ``ilp`` and ``phases`` ratios measure
+#: different work than v1's (see :mod:`repro.perf.timing`); compare
+#: ratios only between rows of one schema.
+HISTORY_SCHEMA = "BENCH_history/v2"
 
 #: Engines a floors file may gate, mapped to where the ratio lives in a
 #: :class:`~repro.perf.timing.MicaBenchResult`.

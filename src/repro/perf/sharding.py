@@ -41,18 +41,16 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CharacterizationError
 from ..mica import CharacteristicVector
+from ..mica.segmented import SECTION_ORDER, resolve_wanted, wanted_sections
 from ..mica.shard import (
-    SECTION_ORDER,
     ShardState,
     finalize_state,
     merge_states,
     ppm_empty_state,
     ppm_shard_correct,
-    resolve_wanted,
     shard_state,
     state_from_arrays,
     state_to_arrays,
-    wanted_sections,
 )
 from ..trace import (
     MappedTraceSource,

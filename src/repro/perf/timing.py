@@ -19,7 +19,11 @@ How to read the output:
   by that time (the honest cross-machine comparable).
 * ``speedups.ppm`` / ``speedups.ilp`` — reference time over vectorized
   time for the same work; the acceptance floor for this engine is 10x
-  (PPM) and 5x (ILP).
+  (PPM) and 5x (ILP).  Since schema v7 both ILP timings include
+  producer recovery (``ilp_ipc`` recovers its own producers, so
+  ``ilp_ipc_reference`` is timed from the trace too); v6 and earlier
+  timed both on precomputed producers, so their ILP ratios read higher
+  and are not comparable.
 * ``characterize`` — one end-to-end 47-characteristic vector, the
   number dataset builds actually feel per benchmark.
 * ``generation.phases.<name>`` — generation-engine timings:
@@ -56,7 +60,10 @@ How to read the output:
 * ``phases.engines.<name>`` (schema v5) — phase-engine timings:
   ``mica_timeline`` (the segmented interval-characterization engine on
   the default six-key timeline), ``mica_timeline_reference`` (the
-  retained per-chunk loop), ``interval_mica`` (full 47-column
+  retained per-chunk loop; since schema v7 it runs the scalar ILP, PPM
+  and producer-recovery references, where v5/v6 ran the vectorized
+  section functions, so v7 timeline ratios read higher and are not
+  comparable), ``interval_mica`` (full 47-column
   per-interval vectors, the MICA phase-detection substrate), the
   BBV/mix signature extractors and one end-to-end BBV
   ``detect_phases``.
@@ -403,7 +410,7 @@ class MicaBenchResult:
 
     def as_dict(self) -> dict:
         payload = {
-            "schema": "BENCH_mica/v6",
+            "schema": "BENCH_mica/v7",
             "meta": {
                 "trace_length": self.trace_length,
                 "profile": self.profile,
@@ -994,22 +1001,17 @@ def run_mica_bench(
         benchmark = get_benchmark(profile_name)
         trace = generate_trace(benchmark.profile, length)
     n = len(trace)
-    producers = producer_indices(trace)
 
     cases: List[Tuple[str, Callable[[], object]]] = [
         ("instruction_mix", lambda: instruction_mix(trace)),
         ("producer_indices", lambda: producer_indices(trace)),
         (
             "ilp_ipc",
-            lambda: ilp_ipc(
-                trace, config.ilp_window_sizes, producers=producers
-            ),
+            lambda: ilp_ipc(trace, config.ilp_window_sizes),
         ),
         (
             "register_traffic",
-            lambda: register_traffic(
-                trace, config.reg_dep_thresholds, producers=producers
-            ),
+            lambda: register_traffic(trace, config.reg_dep_thresholds),
         ),
         (
             "working_set",
@@ -1029,9 +1031,7 @@ def run_mica_bench(
         cases.extend([
             (
                 "ilp_ipc_reference",
-                lambda: ilp_ipc_reference(
-                    trace, config.ilp_window_sizes, producers=producers
-                ),
+                lambda: ilp_ipc_reference(trace, config.ilp_window_sizes),
             ),
             (
                 "ppm_reference",

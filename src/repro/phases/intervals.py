@@ -12,6 +12,7 @@ summarized by a cheap feature vector:
 
 from __future__ import annotations
 
+import operator
 from typing import List
 
 import numpy as np
@@ -33,10 +34,19 @@ def interval_count(trace: Trace, interval: int) -> int:
     interval always surfaces as the same :class:`AnalysisError` rather
     than a ``ZeroDivisionError`` from ``len(trace) // interval``.
 
+    The interval must be an integer (``operator.index``: ``numpy``
+    integers pass, floats and strings do not).
+
     Raises:
-        AnalysisError: on ``interval <= 0`` or a trace yielding fewer
-            than two intervals.
+        AnalysisError: on a non-integer interval, ``interval <= 0`` or a
+            trace yielding fewer than two intervals.
     """
+    try:
+        interval = operator.index(interval)
+    except TypeError:
+        raise AnalysisError(
+            f"interval must be an integer, got {interval!r}"
+        ) from None
     if interval <= 0:
         raise AnalysisError(f"interval must be positive, got {interval}")
     count = len(trace) // interval

@@ -18,8 +18,9 @@ Two implementations are provided:
   :func:`repro.phases.engine.interval_characteristics`): one pass over
   the full trace, computing only the Table II sections the requested
   keys need.
-* :func:`mica_timeline_reference` — the original per-chunk loop,
-  retained as the executable specification
+* :func:`mica_timeline_reference` — the per-chunk loop over the
+  Table II specifications (the scalar ILP, PPM and producer-recovery
+  references included), retained as the executable specification
   (``tests/test_phases_segmented_equivalence.py`` pins the engine to it
   bit-for-bit).  It too computes only the needed sections: requesting
   ``mix_loads`` alone must not run PPM or ILP on every chunk in either
@@ -35,9 +36,9 @@ import numpy as np
 
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..mica.characteristics import NUM_CHARACTERISTICS, category_slices
-from ..mica.ilp import ilp_ipc, producer_indices
+from ..mica.ilp import ilp_ipc_reference, producer_indices_reference
 from ..mica.instruction_mix import instruction_mix
-from ..mica.ppm import ppm_predictabilities
+from ..mica.ppm import ppm_predictabilities_reference
 from ..mica.register_traffic import register_traffic
 from ..mica.strides import stride_profile
 from ..mica.working_set import working_set
@@ -146,18 +147,24 @@ def mica_timeline(
 def _chunk_sections(
     chunk: Trace, categories: "tuple[str, ...]", config: ReproConfig
 ) -> np.ndarray:
-    """One chunk's Table II sections, exactly as ``characterize`` runs
-    them (shared producer recovery included); unrequested sections are
-    left ``NaN``."""
+    """One chunk's Table II sections from the specifications.
+
+    ILP, branch predictability and the producer recovery that ILP and
+    register traffic share come from the scalar ``*_reference``
+    functions, not from the engine's kernels, so the engine is checked
+    against an independent oracle; the other four sections' functions
+    are their only specifications.  Unrequested sections are left
+    ``NaN``.
+    """
     slices = category_slices()
     row = np.full(NUM_CHARACTERISTICS, np.nan)
     producers = None
     if "ILP" in categories or "register traffic" in categories:
-        producers = producer_indices(chunk)
+        producers = producer_indices_reference(chunk)
     if "instruction mix" in categories:
         row[slices["instruction mix"]] = instruction_mix(chunk)
     if "ILP" in categories:
-        row[slices["ILP"]] = ilp_ipc(
+        row[slices["ILP"]] = ilp_ipc_reference(
             chunk, config.ilp_window_sizes, producers=producers
         )
     if "register traffic" in categories:
@@ -173,8 +180,8 @@ def _chunk_sections(
             chunk, config.stride_thresholds
         )
     if "branch predictability" in categories:
-        row[slices["branch predictability"]] = ppm_predictabilities(
-            chunk, config.ppm_max_order
+        row[slices["branch predictability"]] = (
+            ppm_predictabilities_reference(chunk, config.ppm_max_order)
         )
     return row
 
@@ -187,11 +194,12 @@ def mica_timeline_reference(
 ) -> CharacteristicTimeline:
     """Per-chunk timeline — the executable specification.
 
-    Slices the trace into intervals and runs the Table II analyzers on
-    every chunk, exactly as :func:`repro.mica.characterize` would
-    (restricted to the sections the requested keys need).  Retained for
-    the equivalence tests and the perf harness; the segmented
-    :func:`mica_timeline` must match it bit-for-bit.
+    Slices the trace into intervals and runs the Table II specifications
+    on every chunk (restricted to the sections the requested keys
+    need): the scalar ILP, PPM and producer-recovery references plus
+    the other sections' functions.  Retained for the equivalence tests
+    and the perf harness; the segmented :func:`mica_timeline` must
+    match it bit-for-bit.
     """
     indices, categories = resolve_keys(keys)
     chunks = split_intervals(trace, interval)

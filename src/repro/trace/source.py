@@ -24,6 +24,7 @@ by ``tests/test_shard_merge_equivalence.py``.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -52,9 +53,12 @@ def shard_bounds(
     shorter than the count) and ``shard_size`` (a fixed number of rows
     per shard, the last one partial) must be given.
 
+    Both must be integers (``operator.index``: ``numpy`` integers pass,
+    floats and strings do not — ``2.5`` is refused, never truncated).
+
     Raises:
         TraceError: on a non-positive trace length, both or neither
-            argument given, or a non-positive count/size.
+            argument given, or a non-integer or non-positive count/size.
     """
     if n <= 0:
         raise TraceError(f"cannot shard an empty trace (length {n})")
@@ -62,9 +66,8 @@ def shard_bounds(
         raise TraceError("give exactly one of shards= and shard_size=")
     bounds: "List[Tuple[int, int]]" = []
     if shards is not None:
-        if shards < 1:
-            raise TraceError(f"shards must be >= 1, got {shards}")
-        count = min(int(shards), n)
+        shards = _as_count("shards", shards)
+        count = min(shards, n)
         base, extra = divmod(n, count)
         start = 0
         for index in range(count):
@@ -72,13 +75,23 @@ def shard_bounds(
             bounds.append((start, end))
             start = end
     else:
-        if shard_size < 1:
-            raise TraceError(
-                f"shard_size must be >= 1, got {shard_size}"
-            )
-        for start in range(0, n, int(shard_size)):
-            bounds.append((start, min(start + int(shard_size), n)))
+        shard_size = _as_count("shard_size", shard_size)
+        for start in range(0, n, shard_size):
+            bounds.append((start, min(start + shard_size, n)))
     return bounds
+
+
+def _as_count(name: str, value) -> int:
+    """``value`` as a Python int >= 1, or :class:`TraceError`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TraceError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if value < 1:
+        raise TraceError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 class TraceSource:

@@ -54,3 +54,21 @@ class TestReproConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ReproConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ilp_window_sizes": (32, 64)},
+            {"ilp_window_sizes": (0, 32, 64, 128)},
+            {"ilp_window_sizes": 32},
+            {"reg_dep_thresholds": (1, 2, 4)},
+            {"stride_thresholds": (0, 8, 64)},
+            {"stride_thresholds": (0, 8, 64, 512, 4096, 8192)},
+        ],
+    )
+    def test_section_tuples_must_fit_table_two(self, kwargs):
+        """4 window sizes, 7 register and 5 stride thresholds: the
+        widths of the 47-value schema (wrong lengths used to surface as
+        a shape or numpy broadcast error deep in characterization)."""
+        with pytest.raises(ConfigurationError):
+            ReproConfig(**kwargs)

@@ -96,13 +96,6 @@ class TestIlp:
         with pytest.raises(CharacterizationError):
             ilp_ipc(Trace.empty())
 
-    def test_precomputed_producers_match(self, small_trace):
-        producers = producer_indices(small_trace)
-        assert np.allclose(
-            ilp_ipc(small_trace),
-            ilp_ipc(small_trace, producers=producers),
-        )
-
 
 class TestRegisterTraffic:
     def test_chain_has_one_operand(self):

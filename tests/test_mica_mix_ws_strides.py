@@ -95,6 +95,13 @@ class TestWorkingSet:
         with pytest.raises(CharacterizationError):
             working_set(small_trace, block_bytes=48)
 
+    def test_rejects_zero_granularity(self, small_trace):
+        """A typed error, not a raw ``negative shift count``."""
+        with pytest.raises(CharacterizationError, match="power of two"):
+            working_set(small_trace, block_bytes=0)
+        with pytest.raises(CharacterizationError, match="power of two"):
+            working_set(small_trace, page_bytes=0)
+
 
 class TestStrides:
     def make_load_trace(self, addresses, pcs=None):

@@ -1,9 +1,10 @@
 """Vectorized-vs-reference equivalence for the PPM and ILP engines.
 
 The vectorized :func:`repro.mica.ppm_predictabilities` and
-:func:`repro.mica.ilp_ipc` must produce *bit-identical* characteristic
-values to the retained scalar reference implementations, on randomized
-traces across seeds, lengths and shapes, and on hand-built edge cases.
+:func:`repro.mica.ilp_ipc` (the segmented engine's kernels over one
+interval) must produce *bit-identical* characteristic values to the
+retained scalar reference implementations, on randomized traces across
+seeds, lengths and shapes, and on hand-built edge cases.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from repro.mica import (
     producer_indices,
 )
 from repro.mica.ilp import (
+    _segmented_window_cycles,
     _window_critical_paths_reference,
-    window_cycle_counts,
+    producer_indices_reference,
 )
 from repro.mica.segmented import (
     MAX_VECTOR_ORDER,
@@ -153,10 +155,10 @@ class TestIlpEquivalence:
     @pytest.mark.parametrize("length", [10, 500, 4000])
     def test_randomized_traces_match(self, seed, length):
         trace = random_branchy_trace(seed, length)
-        producers = producer_indices(trace)
+        producers = producer_indices_reference(trace)
         for windows in self.WINDOWS:
             assert np.array_equal(
-                ilp_ipc(trace, windows, producers=producers),
+                ilp_ipc(trace, windows),
                 ilp_ipc_reference(trace, windows, producers=producers),
             )
 
@@ -212,8 +214,9 @@ class TestIlpEquivalence:
 
 
 class TestWindowCriticalPathEquivalence:
-    """:func:`window_cycle_counts` (the all-window-sizes vectorized
-    engine) must match the retained scalar specification
+    """The segmented engine's all-window-sizes walk
+    (:func:`_segmented_window_cycles`) over the whole trace as one
+    interval must match the retained scalar specification
     :func:`_window_critical_paths_reference` per window size."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -222,16 +225,21 @@ class TestWindowCriticalPathEquivalence:
         trace = random_branchy_trace(seed, length)
         producer1, producer2 = producer_indices(trace)
         windows = (16, 32, 64, 128)
-        counts = window_cycle_counts(producer1, producer2, windows)
-        for window, total in zip(windows, counts):
-            assert total == _window_critical_paths_reference(
-                producer1, producer2, window
+        counts = _segmented_window_cycles(
+            producer1, producer2, 1, length, windows
+        )
+        for window in windows:
+            assert int(counts[window][0]) == (
+                _window_critical_paths_reference(
+                    producer1, producer2, window
+                )
             )
 
     def test_window_larger_than_trace(self):
         trace = random_branchy_trace(7, 50)
         producer1, producer2 = producer_indices(trace)
-        assert window_cycle_counts(producer1, producer2, (512,))[0] == (
+        counts = _segmented_window_cycles(producer1, producer2, 1, 50, (512,))
+        assert int(counts[512][0]) == (
             _window_critical_paths_reference(producer1, producer2, 512)
         )
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import ReproConfig
+from repro.errors import CharacterizationError
 from repro.mica import (
     characterize,
     characteristic_names,
@@ -127,6 +128,19 @@ class TestSegmentedCharacterize:
                 trace, 500, CONFIG, indices=[index]
             )
             assert np.array_equal(segmented[:, index], rows[:, index]), key
+
+    def test_numpy_integer_interval(self):
+        trace = random_branchy_trace(6, 1_000)
+        segmented = segmented_characterize(trace, np.int64(250), CONFIG)
+        assert segmented.tobytes() == (
+            segmented_characterize(trace, 250, CONFIG).tobytes()
+        )
+
+    @pytest.mark.parametrize("interval", [2.5, "10", 250.0])
+    def test_non_integer_interval_rejected(self, interval):
+        trace = random_branchy_trace(6, 1_000)
+        with pytest.raises(CharacterizationError, match="integer"):
+            segmented_characterize(trace, interval, CONFIG)
 
     def test_partial_categories_leave_nan(self):
         trace = random_branchy_trace(4, 1_000)

@@ -7,6 +7,7 @@ from repro.config import ReproConfig
 from repro.errors import AnalysisError
 from repro.phases import (
     DEFAULT_TIMELINE_KEYS,
+    detect_phases,
     mica_timeline,
     mica_timeline_reference,
 )
@@ -124,9 +125,13 @@ class TestKeyDrivenComputation:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("unrequested analyzer ran")
 
-        monkeypatch.setattr(timeline_module, "ppm_predictabilities", boom)
-        monkeypatch.setattr(timeline_module, "ilp_ipc", boom)
-        monkeypatch.setattr(timeline_module, "producer_indices", boom)
+        monkeypatch.setattr(
+            timeline_module, "ppm_predictabilities_reference", boom
+        )
+        monkeypatch.setattr(timeline_module, "ilp_ipc_reference", boom)
+        monkeypatch.setattr(
+            timeline_module, "producer_indices_reference", boom
+        )
         timeline = mica_timeline_reference(
             small_trace, interval=1000, keys=("mix_loads",), config=CONFIG
         )
@@ -153,3 +158,35 @@ class TestKeyDrivenComputation:
             small_trace, interval=1000, keys=("ilp_w32",), config=CONFIG
         )
         assert walked == [32]
+
+
+class TestIntegerLikeIntervals:
+    """Intervals pass through ``operator.index``: numpy integers work
+    like ints, floats and strings are refused with AnalysisError."""
+
+    def test_numpy_integer_interval_timeline(self, small_trace):
+        timeline = mica_timeline(
+            small_trace, interval=np.int64(1000), config=CONFIG
+        )
+        expected = mica_timeline(small_trace, interval=1000, config=CONFIG)
+        assert timeline.values.tobytes() == expected.values.tobytes()
+
+    def test_numpy_integer_interval_mica_phases(self, small_trace):
+        result = detect_phases(
+            small_trace, interval=np.int64(1000), signature="mica",
+            config=CONFIG,
+        )
+        expected = detect_phases(
+            small_trace, interval=1000, signature="mica", config=CONFIG
+        )
+        assert np.array_equal(result.signatures, expected.signatures)
+
+    @pytest.mark.parametrize("interval", [2.5, "10", 1000.0])
+    def test_non_integer_interval_rejected(self, small_trace, interval):
+        with pytest.raises(AnalysisError, match="integer"):
+            mica_timeline(small_trace, interval=interval, config=CONFIG)
+        with pytest.raises(AnalysisError, match="integer"):
+            detect_phases(
+                small_trace, interval=interval, signature="mica",
+                config=CONFIG,
+            )

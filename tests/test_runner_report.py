@@ -13,7 +13,7 @@ SMALL_CONFIG = ReproConfig(
 @pytest.fixture(scope="module")
 def report(small_population):
     dataset = build_dataset(
-        SMALL_CONFIG, benchmarks=small_population, use_cache=False, workers=1
+        SMALL_CONFIG, benchmarks=small_population, use_cache=False, jobs=1
     )
     return run_all(SMALL_CONFIG, dataset=dataset, include_extensions=True)
 
@@ -29,7 +29,7 @@ class TestFullReport:
     def test_extensions_optional(self, small_population):
         dataset = build_dataset(
             SMALL_CONFIG, benchmarks=small_population, use_cache=False,
-            workers=1,
+            jobs=1,
         )
         plain = run_all(SMALL_CONFIG, dataset=dataset)
         assert plain.input_sensitivity is None

@@ -394,6 +394,25 @@ class TestErrorSurfaces:
         with pytest.raises(TraceError, match="shard_size must be"):
             sharded_characterize(small_trace, CONFIG, shard_size=-1)
 
+    @pytest.mark.parametrize(
+        "geometry", [{"shards": 2.5}, {"shard_size": 2.5},
+                     {"shards": "2"}, {"shard_size": 1000.0}],
+    )
+    def test_non_integer_geometry_is_rejected(self, small_trace, geometry):
+        """Never silently truncated: 2.5 shards is not 2 shards."""
+        with pytest.raises(TraceError, match="integer"):
+            sharded_characterize(small_trace, CONFIG, **geometry)
+        with pytest.raises(TraceError, match="integer"):
+            characterize(small_trace, CONFIG, **geometry)
+
+    def test_numpy_integer_geometry(self, small_trace):
+        by_numpy = sharded_characterize(
+            small_trace, CONFIG, shards=np.int64(3)
+        )
+        assert by_numpy.values.tobytes() == (
+            characterize(small_trace, CONFIG).values.tobytes()
+        )
+
     def test_unknown_category_is_rejected(self, small_trace):
         with pytest.raises(CharacterizationError, match="unknown"):
             sharded_characterize(
